@@ -27,10 +27,11 @@ from .ingest import (
     StreamFormat,
     build_series,
     parse_detections,
+    read_text,
     select_per_frame,
     to_observation,
 )
-from .regression import FitResult, ModelKind, predict
+from .regression import FitResult, ModelKind, predict, residual_rmse
 from .trajectory import (
     DEFAULT_HORIZON,
     Region,
@@ -65,9 +66,9 @@ def _region_arg(text: str) -> tuple[float, float, float, float]:
 
 def _read(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        return read_text(sys.stdin.buffer)
+    with open(path, "rb") as handle:
+        return read_text(handle)
 
 
 def _write(path: str, content: str) -> None:
@@ -131,7 +132,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _fit_report(fit: FitResult) -> str:
+def _fit_report(fit: FitResult, rmse: float) -> str:
     lines = [f"kind = {fit.kind.label}"]
     if fit.coefficients:
         lines.append("coefficients = " + ",".join(fixed6(c) for c in fit.coefficients))
@@ -139,7 +140,7 @@ def _fit_report(fit: FitResult) -> str:
         lines.append(f"a = {fixed6(fit.a)}")
         lines.append(f"b = {fixed6(fit.b)}")
     lines.append(f"n_points = {fit.n_points}")
-    lines.append(f"rmse = {fixed6(fit.rmse)}")
+    lines.append(f"rmse = {fixed6(rmse)}")
     return "".join(line + "\n" for line in lines)
 
 
@@ -149,7 +150,7 @@ def cmd_fit(args) -> int:
     config = WindowConfig(length=args.window, horizon=DEFAULT_HORIZON)
     cutoff = _cutoff(args, math.inf)
     fit = fit_axis(series, _model_kind(args), config, cutoff, args.clamp_nonpositive)
-    sys.stdout.write(_fit_report(fit))
+    sys.stdout.write(_fit_report(fit, residual_rmse(fit, window(series, config, cutoff))))
     return 0
 
 

@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -113,9 +115,10 @@ def error_rate(predicted: float, actual: float) -> float:
 
 
 def _value_at(series: AxisSeries, t: float) -> float:
-    for st, sv in series.samples:
-        if st == t:
-            return sv
+    samples = series.samples
+    i = bisect_left(samples, t, key=itemgetter(0))
+    if i < len(samples) and samples[i][0] == t:
+        return samples[i][1]
     raise MissingTruthError(
         f"no ground-truth sample at t={t!r} on the {series.axis.value} series"
     )

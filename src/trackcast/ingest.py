@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Iterable, Union
+from typing import IO, Iterable, Sequence, Union
 
 from .errors import OrderingError, ParseError, ValidationError
 
@@ -29,8 +29,12 @@ class Axis(Enum):
 
 
 CSV_HEADER = ["frame", "left", "top", "width", "height", "confidence", "label"]
+_NUMBER_KEYS = CSV_HEADER[1:6]
 
 StreamInput = Union[str, bytes, IO[str], IO[bytes]]
+
+# Above 2**53 not every integer is a float, so a frame would lose its exact time.
+MAX_FRAME = 2**53
 
 
 @dataclass(frozen=True)
@@ -50,9 +54,17 @@ class DetectionRecord:
     label: str = ""
 
     def __post_init__(self) -> None:
-        bad = _invalid_field(self.frame_index, self.width, self.height, self.confidence)
-        if bad is not None:
-            raise ValidationError(f"invalid value for '{bad}'")
+        if not 0 <= self.frame_index <= MAX_FRAME:
+            bad = "frame"
+        elif not self.width > 0:
+            bad = "width"
+        elif not self.height > 0:
+            bad = "height"
+        elif not 0.0 <= self.confidence <= 1.0:
+            bad = "confidence"
+        else:
+            return
+        raise ValidationError(f"invalid value for '{bad}'")
 
 
 @dataclass(frozen=True)
@@ -82,34 +94,31 @@ class AxisSeries:
             prev = t
 
 
-def _invalid_field(frame_index, width, height, confidence) -> str | None:
-    """Return the name of the first field violating a record invariant."""
-    if frame_index < 0:
-        return "frame"
-    if not width > 0:
-        return "width"
-    if not height > 0:
-        return "height"
-    if not 0.0 <= confidence <= 1.0:
-        return "confidence"
-    return None
-
-
-def _as_text(data: StreamInput) -> str:
+def read_text(data: StreamInput) -> str:
+    """The text of a stream: a str as is, bytes or a binary file as UTF-8."""
     if hasattr(data, "read"):
         data = data.read()
     if isinstance(data, bytes):
-        return data.decode("utf-8")
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"input is not UTF-8 (byte {exc.start}: {exc.reason})") from None
     return data
 
 
-def _require_number(obj: dict, key: str, line_no: int) -> float:
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"line {line_no}: value for '{key}' must be a number")
-    if not math.isfinite(value):
-        raise ParseError(f"line {line_no}: value for '{key}' must be finite")
-    return value
+def _require_numbers(values: Sequence, line_no: int) -> Sequence:
+    """Left, top, width, height and confidence as decoded from a JSON line or
+    a CSV row; each must be a finite number."""
+    for key, value in zip(_NUMBER_KEYS, values):
+        if type(value) not in (int, float):  # bool is not a number here
+            raise ParseError(f"line {line_no}: value for '{key}' must be a number")
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
+            raise ParseError(f"line {line_no}: value for '{key}' must be finite")
+    return values
 
 
 def _parse_jsonl(text: str) -> list[DetectionRecord]:
@@ -121,6 +130,8 @@ def _parse_jsonl(text: str) -> list[DetectionRecord]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
+        except (ValueError, RecursionError) as exc:  # integer too long, nesting too deep
+            raise ParseError(f"line {line_no}: invalid JSON ({exc})") from None
         if not isinstance(obj, dict):
             raise ParseError(f"line {line_no}: expected a JSON object")
         for key in ("frame", "left", "top", "width", "height"):
@@ -129,11 +140,10 @@ def _parse_jsonl(text: str) -> list[DetectionRecord]:
         frame = obj["frame"]
         if isinstance(frame, bool) or not isinstance(frame, int):
             raise ParseError(f"line {line_no}: value for 'frame' must be an integer")
-        left = _require_number(obj, "left", line_no)
-        top = _require_number(obj, "top", line_no)
-        width = _require_number(obj, "width", line_no)
-        height = _require_number(obj, "height", line_no)
-        confidence = _require_number(obj, "confidence", line_no) if "confidence" in obj else 1.0
+        left, top, width, height, confidence = _require_numbers(
+            (obj["left"], obj["top"], obj["width"], obj["height"], obj.get("confidence", 1.0)),
+            line_no,
+        )
         label = obj.get("label", "")
         if not isinstance(label, str):
             raise ParseError(f"line {line_no}: value for 'label' must be a string")
@@ -164,43 +174,24 @@ def _parse_csv(text: str) -> list[DetectionRecord]:
             frame = int(row[0])
         except ValueError:
             raise ParseError(f"line {line_no}: value for 'frame' must be an integer") from None
-        floats = {}
-        for name, cell in zip(("left", "top", "width", "height"), row[1:5]):
+        numbers = []
+        for cell in (*row[1:5], row[5] or "1.0"):
             try:
-                floats[name] = float(cell)
+                numbers.append(float(cell))
             except ValueError:
-                raise ParseError(f"line {line_no}: value for '{name}' must be a number") from None
-            if not math.isfinite(floats[name]):
-                raise ParseError(f"line {line_no}: value for '{name}' must be finite")
-        if row[5] == "":
-            confidence = 1.0
-        else:
-            try:
-                confidence = float(row[5])
-            except ValueError:
-                raise ParseError(
-                    f"line {line_no}: value for 'confidence' must be a number"
-                ) from None
+                numbers.append(cell)  # _require_numbers reports it as not a number
+        left, top, width, height, confidence = _require_numbers(numbers, line_no)
         records.append(
-            _build_record(
-                frame,
-                floats["left"],
-                floats["top"],
-                floats["width"],
-                floats["height"],
-                confidence,
-                row[6],
-                line_no,
-            )
+            _build_record(frame, left, top, width, height, confidence, row[6], line_no)
         )
     return records
 
 
 def _build_record(frame, left, top, width, height, confidence, label, line_no) -> DetectionRecord:
-    bad = _invalid_field(frame, width, height, confidence)
-    if bad is not None:
-        raise ValidationError(f"line {line_no}: invalid value for '{bad}'")
-    return DetectionRecord(frame, left, top, width, height, confidence, label)
+    try:
+        return DetectionRecord(frame, left, top, width, height, confidence, label)
+    except ValidationError as exc:
+        raise ValidationError(f"line {line_no}: {exc}") from None
 
 
 def parse_detections(data: StreamInput, fmt: StreamFormat) -> list[DetectionRecord]:
@@ -210,7 +201,7 @@ def parse_detections(data: StreamInput, fmt: StreamFormat) -> list[DetectionReco
     malformed lines and ValidationError for records violating invariants,
     both naming the offending line.
     """
-    text = _as_text(data)
+    text = read_text(data)
     if fmt is StreamFormat.JSONL:
         return _parse_jsonl(text)
     return _parse_csv(text)

@@ -41,9 +41,12 @@ class ModelFamily(Enum):
     POLYNOMIAL = "poly"
 
 
-EXPONENTIAL_FAMILIES = frozenset(
-    {ModelFamily.EXPONENTIAL, ModelFamily.SIN_EXPONENTIAL, ModelFamily.COS_EXPONENTIAL}
-)
+# The constant term each exponential-family variant adds to exp(a*t + b).
+EXPONENTIAL_CORRECTIONS = {
+    ModelFamily.EXPONENTIAL: lambda a: 0.0,
+    ModelFamily.SIN_EXPONENTIAL: math.sin,
+    ModelFamily.COS_EXPONENTIAL: math.cos,
+}
 
 
 @dataclass(frozen=True)
@@ -104,7 +107,7 @@ class LinearFit:
 class FitResult:
     """A fitted model. ``a``/``b`` are the growth coefficient and corrected
     intercept (unused for polynomials, which carry ascending-power
-    ``coefficients`` instead). ``rmse`` is measured in original value space.
+    ``coefficients`` instead). ``residual_rmse`` measures the fit on a series.
     """
 
     kind: ModelKind
@@ -112,7 +115,6 @@ class FitResult:
     b: float
     coefficients: tuple[float, ...]
     n_points: int
-    rmse: float
 
 
 Pairs = Sequence[tuple[float, float]]
@@ -137,7 +139,7 @@ def fit_linear(pairs: Pairs) -> LinearFit:
 
 
 def fit_model(series: AxisSeries, kind: ModelKind, clamp_nonpositive: bool = False) -> FitResult:
-    """Fit ``kind`` to the series and report the residual RMSE.
+    """Fit ``kind`` to the series.
 
     Exponential-family kinds require every value positive unless
     ``clamp_nonpositive`` lifts offenders to CLAMP_FLOOR.
@@ -153,7 +155,7 @@ def fit_model(series: AxisSeries, kind: ModelKind, clamp_nonpositive: bool = Fal
     if kind.family is ModelFamily.LINEAR:
         line = fit_linear(samples)
         a, b = line.slope, line.intercept
-    elif kind.family in EXPONENTIAL_FAMILIES:
+    elif kind.family in EXPONENTIAL_CORRECTIONS:
         logs = []
         for i, (t, v) in enumerate(samples):
             if v <= 0.0:
@@ -166,17 +168,10 @@ def fit_model(series: AxisSeries, kind: ModelKind, clamp_nonpositive: bool = Fal
             logs.append((t, math.log(v)))
         line = fit_linear(logs)
         a = line.slope
-        if kind.family is ModelFamily.SIN_EXPONENTIAL:
-            b = line.intercept - math.sin(a)
-        elif kind.family is ModelFamily.COS_EXPONENTIAL:
-            b = line.intercept - math.cos(a)
-        else:
-            b = line.intercept
+        b = line.intercept - EXPONENTIAL_CORRECTIONS[kind.family](a)
     else:
         coefficients = _fit_polynomial(samples, kind.degree)
-    rmse = _rmse(kind, a, b, coefficients, samples)
-    return FitResult(kind=kind, a=a, b=b, coefficients=coefficients,
-                     n_points=len(samples), rmse=rmse)
+    return FitResult(kind=kind, a=a, b=b, coefficients=coefficients, n_points=len(samples))
 
 
 def _fit_polynomial(samples: Pairs, degree: int) -> tuple[float, ...]:
@@ -240,44 +235,31 @@ def _solve_guarded(matrix: list[list[float]], rhs: list[float]) -> list[float]:
     return out
 
 
-def _evaluate(kind: ModelKind, a: float, b: float,
-              coefficients: tuple[float, ...], t: float) -> float:
-    family = kind.family
+def predict(fit: FitResult, t: float) -> float:
+    """Evaluate the fitted model at time t; pure composition, no re-fitting."""
+    family, a, b = fit.kind.family, fit.a, fit.b
     try:
         if family is ModelFamily.LINEAR:
             value = a * t + b
-        elif family is ModelFamily.EXPONENTIAL:
-            value = math.exp(a * t + b)
-        elif family is ModelFamily.SIN_EXPONENTIAL:
-            value = math.exp(a * t + b) + math.sin(a)
-        elif family is ModelFamily.COS_EXPONENTIAL:
-            value = math.exp(a * t + b) + math.cos(a)
+        elif family in EXPONENTIAL_CORRECTIONS:
+            value = math.exp(a * t + b) + EXPONENTIAL_CORRECTIONS[family](a)
         else:
             value = 0.0
-            for coeff in reversed(coefficients):
+            for coeff in reversed(fit.coefficients):
                 value = value * t + coeff
     except OverflowError:
-        raise PredictionRangeError(f"{kind.label} prediction overflows at t={t!r}") from None
+        raise PredictionRangeError(f"{fit.kind.label} prediction overflows at t={t!r}") from None
     if not math.isfinite(value):
-        raise PredictionRangeError(f"{kind.label} prediction overflows at t={t!r}")
+        raise PredictionRangeError(f"{fit.kind.label} prediction overflows at t={t!r}")
     return value
-
-
-def predict(fit: FitResult, t: float) -> float:
-    """Evaluate the fitted model at time t; pure composition, no re-fitting."""
-    return _evaluate(fit.kind, fit.a, fit.b, fit.coefficients, t)
-
-
-def _rmse(kind, a, b, coefficients, samples) -> float:
-    total = 0.0
-    for t, v in samples:
-        residual = _evaluate(kind, a, b, coefficients, t) - v
-        total += residual * residual
-    return math.sqrt(total / len(samples))
 
 
 def residual_rmse(fit: FitResult, series: AxisSeries) -> float:
     """Root-mean-square of predict(fit, t) - v over the series."""
     if not series.samples:
         raise InsufficientDataError("cannot compute RMSE of an empty series")
-    return _rmse(fit.kind, fit.a, fit.b, fit.coefficients, series.samples)
+    total = 0.0
+    for t, v in series.samples:
+        residual = predict(fit, t) - v
+        total += residual * residual
+    return math.sqrt(total / len(series.samples))

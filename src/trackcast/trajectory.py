@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import TrackcastError, ValidationError
@@ -55,10 +56,13 @@ class PredictedEndpoint:
 
 def window(series: AxisSeries, config: WindowConfig, cutoff_t: float) -> AxisSeries:
     """Samples with t <= cutoff_t, keeping only the last ``length`` of them."""
-    kept = tuple(s for s in series.samples if s[0] <= cutoff_t)
-    if config.length is not None:
-        kept = kept[-config.length:]
-    return AxisSeries(series.axis, kept)
+    samples = series.samples
+    # t is strictly increasing, so the test below is False up to the cutoff and
+    # True after it. Bisecting on the test itself, not on t, keeps a NaN
+    # cutoff (no t is <= NaN) from keeping every sample.
+    end = bisect_left(samples, True, key=lambda s: not s[0] <= cutoff_t)
+    start = 0 if config.length is None else max(0, end - config.length)
+    return AxisSeries(series.axis, samples[start:end])
 
 
 def gate(point: tuple[float, float], region: Region) -> bool:

@@ -1,7 +1,13 @@
+import io
 import json
 import math
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
+
+import pytest
+
+from trackcast.cli import main
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 DATA = Path(__file__).parent / "data"
@@ -292,3 +298,49 @@ class TestExitCodes:
     def test_usage_error_exits_2(self, run_cli):
         code, _, _ = run_cli("fit", "--axis", "z", stdin="")
         assert code == 2
+
+
+class TestHostileInput:
+    """Hostile bytes get exit 2 and one ``error:`` line, checked in-process."""
+
+    NON_UTF8 = (b'{"frame": 0, "left": 1.0, "top": 1.0, "width": 4.0, "height": 4.0, '
+                b'"label": "\xff\xfe"}\n')
+    HUGE_LEFT = ('{"frame": 0, "left": 1' + "0" * 400 +
+                 ', "top": 1.0, "width": 4.0, "height": 4.0}\n').encode()
+    HUGE_FRAME = ('{"frame": 1' + "0" * 400 +
+                  ', "left": 1.0, "top": 1.0, "width": 4.0, "height": 4.0}\n').encode()
+
+    @staticmethod
+    def run_main(capsys, *argv):
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        return code, err
+
+    @pytest.mark.parametrize("data, message", [
+        (NON_UTF8, "input is not UTF-8"),
+        (HUGE_LEFT, "line 1: value for 'left' must be finite"),
+        (HUGE_FRAME, "line 1: invalid value for 'frame'"),
+    ], ids=["non_utf8", "huge_left", "huge_frame"])
+    def test_input_file(self, tmp_path, capsys, data, message):
+        path = tmp_path / "hostile.jsonl"
+        path.write_bytes(data)
+        code, err = self.run_main(capsys, "fit", "--input", str(path), "--axis", "x",
+                                  "--model", "linear")
+        assert code == 2
+        assert message in err
+
+    def test_non_utf8_stdin(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(self.NON_UTF8)))
+        code, err = self.run_main(capsys, "predict")
+        assert code == 2
+        assert "input is not UTF-8" in err
+
+    def test_non_utf8_spec(self, tmp_path, capsys):
+        spec = tmp_path / "bad.spec"
+        spec.write_bytes(b"a_x = 0\nb_x = 1\na_y = 0\nb_y = 1\nn_frames = 5 # \xff\n")
+        code, err = self.run_main(capsys, "simulate", "--spec", str(spec))
+        assert code == 2
+        assert "input is not UTF-8" in err
+

@@ -84,6 +84,12 @@ class TestEvaluate:
         with pytest.raises(MissingTruthError):
             evaluate(xs, ys, LINEAR, 10.0, WindowConfig(horizon=60))
 
+    def test_target_between_samples_is_missing_truth(self):
+        xs = series(Axis.X, lambda t: t + 1.0, range(100))
+        ys = series(Axis.Y, lambda t: t + 2.0, range(100))
+        with pytest.raises(MissingTruthError):
+            evaluate(xs, ys, LINEAR, 30.5, WindowConfig(horizon=60))
+
     def test_failed_fit_reports_unavailable(self):
         values = [(t, 5.0 if t != 3 else -1.0) for t in range(71)]
         xs = AxisSeries(Axis.X, tuple((float(t), float(v)) for t, v in values))

@@ -64,6 +64,19 @@ class TestParseJsonl:
         records = parse_detections(JSONL_LINE.encode(), StreamFormat.JSONL)
         assert len(records) == 1
 
+    def test_non_utf8_bytes_rejected(self):
+        with pytest.raises(ParseError) as err:
+            parse_detections(JSONL_LINE.encode() + b"\n\xff\n", StreamFormat.JSONL)
+        assert "not UTF-8" in str(err.value)
+
+    @pytest.mark.parametrize("value", ["1" + "0" * 400, "1" + "0" * 5000, "[" * 10**5],
+                             ids=["beyond_float", "beyond_int_digits", "nested_too_deep"])
+    def test_number_beyond_float_range_rejected(self, value):
+        line = f'{{"frame": 0, "left": {value}, "top": 1, "width": 2, "height": 2}}'
+        with pytest.raises(ParseError) as err:
+            parse_detections(line, StreamFormat.JSONL)
+        assert "line 1" in str(err.value)
+
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_nonfinite_numbers_rejected(self, literal):
         line = f'{{"frame": 0, "left": {literal}, "top": 1, "width": 2, "height": 2}}'
@@ -102,6 +115,11 @@ class TestParseCsv:
     def test_bad_cell_count(self):
         with pytest.raises(ParseError):
             parse_detections(self.HEADER + "0,1,2\n", StreamFormat.CSV)
+
+    def test_nonfinite_confidence_rejected_like_jsonl(self):
+        with pytest.raises(ParseError) as err:
+            parse_detections(self.HEADER + "0,1,2,3,4,inf,\n", StreamFormat.CSV)
+        assert "'confidence' must be finite" in str(err.value)
 
     def test_nonfinite_cell_rejected(self):
         with pytest.raises(ParseError) as err:
@@ -213,3 +231,14 @@ class TestRecordInvariants:
     def test_constructor_rejects_negative_frame(self):
         with pytest.raises(ValidationError):
             DetectionRecord(-1, 0, 0, 1, 1)
+
+    @pytest.mark.parametrize("fmt", list(StreamFormat))
+    def test_frame_limit_is_exact_float(self, fmt):
+        ok = DetectionRecord(2**53, 0, 0, 1, 1)
+        assert to_observation(ok).t == 2**53
+        too_big = render_detections([ok], fmt).replace(str(2**53), str(2**53 + 1))
+        with pytest.raises(ValidationError) as err:
+            parse_detections(too_big, fmt)
+        line = 2 if fmt is StreamFormat.CSV else 1  # a CSV stream starts with its header
+        assert str(err.value) == f"line {line}: invalid value for 'frame'"
+

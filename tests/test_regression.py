@@ -105,10 +105,11 @@ class TestFitModel:
         assert fit.b == pytest.approx(1.0, abs=1e-12)
 
     def test_exponential_exact_recovery(self):
-        fit = fit_model(exp_series(0.2, 0.5, range(10)), EXPONENTIAL)
+        s = exp_series(0.2, 0.5, range(10))
+        fit = fit_model(s, EXPONENTIAL)
         assert fit.a == pytest.approx(0.2, abs=1e-9)
         assert fit.b == pytest.approx(0.5, abs=1e-9)
-        assert fit.rmse == pytest.approx(0.0, abs=1e-9)
+        assert residual_rmse(fit, s) == pytest.approx(0.0, abs=1e-9)
 
     def test_sinexp_intercept_correction(self):
         fit = fit_model(exp_series(0.2, 0.5, range(10)), SIN_EXPONENTIAL)
@@ -220,7 +221,7 @@ class TestFitModel:
 
 class TestPredict:
     def test_sinexp_constant_collapse(self):
-        fit = FitResult(SIN_EXPONENTIAL, a=0.0, b=1.0, coefficients=(), n_points=10, rmse=0.0)
+        fit = FitResult(SIN_EXPONENTIAL, a=0.0, b=1.0, coefficients=(), n_points=10)
         assert predict(fit, 100.0) == pytest.approx(math.e, abs=1e-12)
 
     def test_sinexp_correction_is_not_inverse(self):
@@ -231,8 +232,7 @@ class TestPredict:
         assert abs(predict(fit, 0.0) - math.exp(0.5)) > 0.05
 
     def test_polynomial_horner(self):
-        fit = FitResult(polynomial(2), a=0.0, b=0.0, coefficients=(0.0, 0.0, 1.0),
-                        n_points=3, rmse=0.0)
+        fit = FitResult(polynomial(2), a=0.0, b=0.0, coefficients=(0.0, 0.0, 1.0), n_points=3)
         assert predict(fit, 3.0) == 9.0
 
     def test_matches_independent_evaluator(self):
@@ -264,7 +264,7 @@ class TestPredict:
             assert predict(poly, t) == pytest.approx(expected, rel=1e-12, abs=1e-9)
 
     def test_overflow_reports_range_error(self):
-        fit = FitResult(EXPONENTIAL, a=10.0, b=0.0, coefficients=(), n_points=2, rmse=0.0)
+        fit = FitResult(EXPONENTIAL, a=10.0, b=0.0, coefficients=(), n_points=2)
         with pytest.raises(PredictionRangeError) as err:
             predict(fit, 1000.0)
         assert "t=1000.0" in str(err.value)
@@ -277,15 +277,15 @@ class TestResidualRmse:
         assert residual_rmse(fit, series(pairs)) == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_zero_predictor(self):
-        fit = FitResult(LINEAR, a=0.0, b=0.0, coefficients=(), n_points=2, rmse=0.0)
+        fit = FitResult(LINEAR, a=0.0, b=0.0, coefficients=(), n_points=2)
         value = residual_rmse(fit, series([(0, 3), (1, 4)]))
         assert value == pytest.approx(math.sqrt((9 + 16) / 2), rel=1e-12)
 
     def test_single_matching_sample(self):
-        fit = FitResult(LINEAR, a=1.0, b=0.0, coefficients=(), n_points=2, rmse=0.0)
+        fit = FitResult(LINEAR, a=1.0, b=0.0, coefficients=(), n_points=2)
         assert residual_rmse(fit, series([(2, 2)])) == 0.0
 
     def test_empty_series(self):
-        fit = FitResult(LINEAR, a=1.0, b=0.0, coefficients=(), n_points=2, rmse=0.0)
+        fit = FitResult(LINEAR, a=1.0, b=0.0, coefficients=(), n_points=2)
         with pytest.raises(InsufficientDataError):
             residual_rmse(fit, series([]))

@@ -41,6 +41,26 @@ class TestWindow:
     def test_cutoff_before_start_is_empty(self):
         assert window(TEN, WindowConfig(), cutoff_t=-1.0).samples == ()
 
+    def test_matches_filter_definition(self):
+        rng = random.Random(7)
+        for _ in range(50):
+            n = rng.randint(1, 40)
+            ts = sorted(rng.sample(range(-500, 500), n))
+            samples = tuple((t + rng.random() * 0.5, rng.uniform(-9, 9)) for t in ts)
+            s = AxisSeries(Axis.X, samples)
+            first, last = samples[0][0], samples[-1][0]
+            cutoffs = [first - 1.0, last + 1.0, rng.choice(samples)[0],
+                       math.inf, -math.inf, math.nan]
+            if n > 1:
+                i = rng.randrange(n - 1)
+                cutoffs.append((samples[i][0] + samples[i + 1][0]) / 2)
+            for length in (None, 2, n + 3):
+                for cutoff in cutoffs:
+                    expected = tuple(p for p in samples if p[0] <= cutoff)
+                    if length is not None:
+                        expected = expected[-length:]
+                    assert window(s, WindowConfig(length=length), cutoff).samples == expected
+
 
 class TestGate:
     REGION = Region(0, 10, 0, 10)
