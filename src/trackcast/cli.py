@@ -20,7 +20,7 @@ import math
 import sys
 
 from . import evaluation, svgplot
-from .errors import InsufficientDataError, TrackcastError
+from .errors import InsufficientDataError, TrackcastError, ValidationError
 from .numfmt import fixed6
 from .ingest import (
     AxisSeries,
@@ -197,6 +197,8 @@ def cmd_plot(args) -> int:
     for series in (xs, ys):
         windowed = window(series, config, cutoff)
         fit = fit_axis(series, kind, config, cutoff, args.clamp_nonpositive)
+        if not math.isfinite(t_target):  # the curve steps over whole frames up to it
+            raise ValidationError(f"plot needs a finite target frame, got {t_target!r}")
         start = windowed.samples[0][0]
         curve_ts = [float(t) for t in range(math.ceil(start), math.floor(t_target) + 1)]
         if not curve_ts or curve_ts[-1] != t_target:

@@ -166,33 +166,35 @@ def compare(
     return [evaluate(xs, ys, kind, cutoff_t, config, clamp_nonpositive) for kind in kinds]
 
 
-def _box_muller(rng: random.Random) -> float:
-    # 1 - random() keeps the log argument in (0, 1].
-    u1 = 1.0 - rng.random()
-    u2 = rng.random()
-    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
-
 def _synth_axis(axis: Axis, a: float, b: float, spec: SyntheticSpec,
                 rng: random.Random) -> tuple[tuple[float, float], ...]:
+    # The Box-Muller transform is inlined and everything that does not change
+    # per frame is looked up once; each value is the same expression, over
+    # the same uniforms in the same order, as the documented generator.
+    uniform = rng.random
+    exp, log, sqrt, cos, isfinite = math.exp, math.log, math.sqrt, math.cos, math.isfinite
+    two_pi = 2.0 * math.pi
+    offset = math.sin(a) if spec.variant is Variant.SIN_EXPONENTIAL else 0.0
+    sigma, shake_prob, shake_scale = spec.noise_sigma, spec.shake_prob, spec.shake_scale
     samples = []
     for frame in range(spec.n_frames):
         t = float(frame)
         try:
-            base = math.exp(a * t + b)
-            if spec.variant is Variant.SIN_EXPONENTIAL:
-                base += math.sin(a)
-            noise = _box_muller(rng)
-            shake_decision = rng.random()
-            shake_offset = spec.shake_scale * (2.0 * rng.random() - 1.0)
-            value = base * math.exp(spec.noise_sigma * noise)
+            base = exp(a * t + b) + offset
+            # 1 - random() keeps the log argument in (0, 1].
+            u1 = 1.0 - uniform()
+            u2 = uniform()
+            noise = sqrt(-2.0 * log(u1)) * cos(two_pi * u2)
+            shake_decision = uniform()
+            shake_offset = shake_scale * (2.0 * uniform() - 1.0)
+            value = base * exp(sigma * noise)
         except OverflowError:
             raise GenerationError(
                 f"generated value overflows at frame {frame} on the {axis.value} axis"
             ) from None
-        if shake_decision < spec.shake_prob:
+        if shake_decision < shake_prob:
             value += shake_offset
-        if not math.isfinite(value):
+        if not isfinite(value):
             raise GenerationError(
                 f"generated value overflows at frame {frame} on the {axis.value} axis"
             )
@@ -209,7 +211,7 @@ def synthesize(spec: SyntheticSpec) -> tuple[AxisSeries, AxisSeries]:
     """Generate the (X, Y) series for t = 0 .. n_frames - 1."""
     xs = _synth_axis(Axis.X, spec.a_x, spec.b_x, spec, random.Random(2 * spec.seed))
     ys = _synth_axis(Axis.Y, spec.a_y, spec.b_y, spec, random.Random(2 * spec.seed + 1))
-    return AxisSeries(Axis.X, xs), AxisSeries(Axis.Y, ys)
+    return AxisSeries._ordered(Axis.X, xs), AxisSeries._ordered(Axis.Y, ys)
 
 
 _SPEC_FLOAT_KEYS = ("a_x", "b_x", "a_y", "b_y", "noise_sigma", "shake_prob", "shake_scale")

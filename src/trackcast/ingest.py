@@ -78,7 +78,13 @@ class EndpointObservation:
 
 @dataclass(frozen=True)
 class AxisSeries:
-    """One coordinate axis over time: ordered (t, value) samples."""
+    """One coordinate axis over time: ordered (t, value) samples.
+
+    A series never changes after it is built, so results derived from it can
+    be kept on it: ``trajectory.window`` keeps its last window there and
+    ``regression.fit_model`` its exponential-family line. Neither is a field,
+    so equality, hashing and ``repr`` see only the axis and the samples.
+    """
 
     axis: Axis
     samples: tuple[tuple[float, float], ...]
@@ -92,6 +98,15 @@ class AxisSeries:
                     f"(t={t!r} after t={prev!r})"
                 )
             prev = t
+
+    @classmethod
+    def _ordered(cls, axis: Axis, samples: tuple[tuple[float, float], ...]) -> "AxisSeries":
+        """A series from samples already known to be strictly increasing in t,
+        such as a slice of another series; the ordering check is skipped."""
+        series = object.__new__(cls)
+        object.__setattr__(series, "axis", axis)
+        object.__setattr__(series, "samples", samples)
+        return series
 
 
 def read_text(data: StreamInput) -> str:
@@ -155,6 +170,13 @@ def _parse_jsonl(text: str) -> list[DetectionRecord]:
 
 def _parse_csv(text: str) -> list[DetectionRecord]:
     reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        return _read_csv(reader)
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
+
+
+def _read_csv(reader) -> list[DetectionRecord]:
     try:
         header = next(reader)
     except StopIteration:

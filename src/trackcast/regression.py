@@ -142,7 +142,11 @@ def fit_model(series: AxisSeries, kind: ModelKind, clamp_nonpositive: bool = Fal
     """Fit ``kind`` to the series.
 
     Exponential-family kinds require every value positive unless
-    ``clamp_nonpositive`` lifts offenders to CLAMP_FLOOR.
+    ``clamp_nonpositive`` lifts offenders to CLAMP_FLOOR. They share one
+    line on (t, ln v), which is kept on the series, one per clamp value,
+    and each kind derives its intercept from it. That is safe because a
+    series never changes. A DomainError is not kept, so each kind raises it
+    under its own label.
     """
     samples = series.samples
     if len(samples) < kind.min_points:
@@ -156,22 +160,33 @@ def fit_model(series: AxisSeries, kind: ModelKind, clamp_nonpositive: bool = Fal
         line = fit_linear(samples)
         a, b = line.slope, line.intercept
     elif kind.family in EXPONENTIAL_CORRECTIONS:
-        logs = []
-        for i, (t, v) in enumerate(samples):
-            if v <= 0.0:
-                if not clamp_nonpositive:
-                    raise DomainError(
-                        f"non-positive value {v!r} at t={t!r} (sample {i}) "
-                        f"under {kind.label} fit"
-                    )
-                v = CLAMP_FLOOR
-            logs.append((t, math.log(v)))
-        line = fit_linear(logs)
+        line = _log_line(series, kind, clamp_nonpositive)
         a = line.slope
         b = line.intercept - EXPONENTIAL_CORRECTIONS[kind.family](a)
     else:
         coefficients = _fit_polynomial(samples, kind.degree)
     return FitResult(kind=kind, a=a, b=b, coefficients=coefficients, n_points=len(samples))
+
+
+def _log_line(series: AxisSeries, kind: ModelKind, clamp_nonpositive: bool) -> LinearFit:
+    """The least-squares line on (t, ln v), kept on the series per clamp value."""
+    name = "_log_line_clamped" if clamp_nonpositive else "_log_line"
+    line = series.__dict__.get(name)
+    if line is not None:
+        return line
+    logs = []
+    for i, (t, v) in enumerate(series.samples):
+        if v <= 0.0:
+            if not clamp_nonpositive:
+                raise DomainError(
+                    f"non-positive value {v!r} at t={t!r} (sample {i}) "
+                    f"under {kind.label} fit"
+                )
+            v = CLAMP_FLOOR
+        logs.append((t, math.log(v)))
+    line = fit_linear(logs)
+    object.__setattr__(series, name, line)
+    return line
 
 
 def _fit_polynomial(samples: Pairs, degree: int) -> tuple[float, ...]:

@@ -42,6 +42,10 @@ class WindowConfig:
     def __post_init__(self) -> None:
         if self.horizon < 1:
             raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
+        try:
+            float(self.horizon)  # it is added to float frame times
+        except OverflowError:
+            raise ValidationError("horizon is beyond the float range") from None
         if self.length is not None and self.length < 2:
             raise ValidationError(f"window length must be >= 2, got {self.length}")
 
@@ -55,14 +59,28 @@ class PredictedEndpoint:
 
 
 def window(series: AxisSeries, config: WindowConfig, cutoff_t: float) -> AxisSeries:
-    """Samples with t <= cutoff_t, keeping only the last ``length`` of them."""
+    """Samples with t <= cutoff_t, keeping only the last ``length`` of them.
+
+    The result is kept on ``series`` under the key (length, cutoff_t), and a
+    repeated call with an equal key returns that same windowed series. That
+    is safe because a series never changes, and bounded because only the
+    last window is kept. Every kind that ``compare`` scores therefore gets
+    one window per axis, and with it the exponential-family line that
+    ``fit_model`` keeps on the window.
+    """
+    key = (config.length, cutoff_t)
+    kept = series.__dict__.get("_window")
+    if kept is not None and kept[0] == key:
+        return kept[1]
     samples = series.samples
     # t is strictly increasing, so the test below is False up to the cutoff and
     # True after it. Bisecting on the test itself, not on t, keeps a NaN
     # cutoff (no t is <= NaN) from keeping every sample.
     end = bisect_left(samples, True, key=lambda s: not s[0] <= cutoff_t)
     start = 0 if config.length is None else max(0, end - config.length)
-    return AxisSeries(series.axis, samples[start:end])
+    windowed = AxisSeries._ordered(series.axis, samples[start:end])
+    object.__setattr__(series, "_window", (key, windowed))
+    return windowed
 
 
 def gate(point: tuple[float, float], region: Region) -> bool:

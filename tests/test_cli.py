@@ -337,6 +337,35 @@ class TestHostileInput:
         assert code == 2
         assert "input is not UTF-8" in err
 
+    def test_csv_field_over_size_limit(self, tmp_path, capsys):
+        path = tmp_path / "hostile.csv"
+        path.write_text("frame,left,top,width,height,confidence,label\n"
+                        "0,1,1,4,4,1," + "x" * 200_000 + "\n")
+        code, err = self.run_main(capsys, "fit", "--input", str(path), "--format", "csv",
+                                  "--axis", "x")
+        assert code == 2
+        assert "line 2: field larger than field limit" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["plot", "--cutoff", "inf"], "plot needs a finite target frame, got inf"),
+        (["plot", "--cutoff", "1e308", "--horizon", "1" + "0" * 308],
+         "plot needs a finite target frame, got inf"),
+        (["compare", "--horizon", "1" + "0" * 400], "horizon is beyond the float range"),
+        (["predict", "--horizon", "1" + "0" * 400], "horizon is beyond the float range"),
+        (["plot", "--horizon", "1" + "0" * 400], "horizon is beyond the float range"),
+    ], ids=["plot_cutoff_inf", "plot_target_overflows", "compare_horizon",
+            "predict_horizon", "plot_horizon"])
+    def test_option_beyond_float_range(self, tmp_path, capsys, argv, message):
+        path = tmp_path / "stream.jsonl"
+        path.write_text("".join(
+            f'{{"frame": {t}, "left": {t + 1}, "top": 2, "width": 2, "height": 2}}\n'
+            for t in range(10)))
+        if argv[0] == "plot":
+            argv = [*argv, "--out", str(tmp_path / "fit.svg")]
+        code, err = self.run_main(capsys, *argv, "--input", str(path), "--model", "linear")
+        assert code == 2
+        assert message in err
+
     def test_non_utf8_spec(self, tmp_path, capsys):
         spec = tmp_path / "bad.spec"
         spec.write_bytes(b"a_x = 0\nb_x = 1\na_y = 0\nb_y = 1\nn_frames = 5 # \xff\n")

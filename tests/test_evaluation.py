@@ -4,6 +4,7 @@ import random
 import pytest
 
 from trackcast import (
+    COS_EXPONENTIAL,
     DEFAULT_KINDS,
     EXPONENTIAL,
     LINEAR,
@@ -32,6 +33,14 @@ from trackcast import (
 
 def series(axis, fn, ts):
     return AxisSeries(axis, tuple((float(t), float(fn(t))) for t in ts))
+
+
+def outcome(call):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 class TestErrorRate:
@@ -135,6 +144,40 @@ class TestCompare:
         with pytest.raises(MissingTruthError):
             compare(xs, ys, DEFAULT_KINDS, 31.5, WindowConfig(horizon=60))
 
+    def test_equals_evaluate_on_fresh_series(self):
+        # compare reuses one window and one log-line per axis across kinds, and
+        # the same series across calls; evaluate on fresh copies shares nothing.
+        kinds = [SIN_EXPONENTIAL, COS_EXPONENTIAL, EXPONENTIAL, LINEAR,
+                 polynomial(2), polynomial(3)]
+        rng = random.Random(11)
+        for trial in range(30):
+            n = rng.randint(3, 30)
+            ts = sorted(rng.sample(range(3 * n), n))
+
+            def values():
+                if trial % 3 == 0:  # non-positive values on some samples
+                    return [rng.choice((0.0, -1.5, rng.uniform(0.5, 9))) for _ in ts]
+                return [math.exp(rng.uniform(0.01, 0.05) * t + rng.uniform(-1, 3)) for t in ts]
+
+            xs = AxisSeries(Axis.X, tuple(zip(map(float, ts), values())))
+            ys = AxisSeries(Axis.Y, tuple(zip(map(float, ts), values())))
+            horizon = rng.randint(1, 5)
+            on = [float(t) for t in ts if t + horizon in ts]
+            cutoffs = [float(rng.choice(ts)), ts[0] + 0.5, ts[-1] + 1.0,
+                       math.inf, -math.inf, math.nan, *rng.sample(on, min(3, len(on)))]
+            for length in (None, 2, n + 3):
+                config = WindowConfig(length=length, horizon=horizon)
+                for cutoff in cutoffs:
+                    for clamp in (True, False):  # a clamped line must not serve an unclamped fit
+                        expected = outcome(lambda: [
+                            evaluate(AxisSeries(Axis.X, xs.samples),
+                                     AxisSeries(Axis.Y, ys.samples),
+                                     kind, cutoff, config, clamp)
+                            for kind in kinds
+                        ])
+                        got = outcome(lambda: compare(xs, ys, kinds, cutoff, config, clamp))
+                        assert got == expected, (trial, length, cutoff, clamp)
+
 
 class TestSynthesize:
     def test_noiseless_pure_exponential_is_exact(self):
@@ -196,6 +239,30 @@ class TestSynthesize:
         assert report.err_x_pct <= 1e-6
         assert report.err_y_pct <= 1e-6
 
+    @pytest.mark.parametrize("spec", [
+        SyntheticSpec(a_x=0.01, b_x=2.0, a_y=0.005, b_y=3.0, n_frames=150,
+                      noise_sigma=0.05, shake_prob=0.3, shake_scale=2.0, seed=9),
+        SyntheticSpec(a_x=0.02, b_x=1.0, a_y=-0.01, b_y=4.0, n_frames=150,
+                      variant=Variant.SIN_EXPONENTIAL, noise_sigma=0.1,
+                      shake_prob=0.5, shake_scale=1.0, seed=2**64 - 1),
+        SyntheticSpec(a_x=10.0, b_x=0.0, a_y=0.0, b_y=0.0, n_frames=200,
+                      noise_sigma=0.01, seed=3),
+        SyntheticSpec(a_x=0.0, b_x=709.0, a_y=0.0, b_y=0.0, n_frames=20,
+                      variant=Variant.SIN_EXPONENTIAL, noise_sigma=3.0, seed=4),
+        SyntheticSpec(a_x=0.0, b_x=0.0, a_y=0.0, b_y=0.5, n_frames=50,
+                      shake_prob=0.5, shake_scale=4.0, seed=5),
+    ], ids=["pure_noise_shake", "sin_noise_shake", "overflow_growth",
+            "overflow_noise", "non_positive"])
+    def test_bit_identical_to_reference_generator(self, spec):
+        expected = outcome(lambda: reference_synthesize(spec))
+        got = outcome(lambda: tuple(s.samples for s in synthesize(spec)))
+        if isinstance(expected[0], type):
+            assert expected[0] is GenerationError
+            assert got == expected
+        else:
+            assert [[(t.hex(), v.hex()) for t, v in axis] for axis in got] == \
+                [[(t.hex(), v.hex()) for t, v in axis] for axis in expected]
+
     def test_spec_invariants(self):
         with pytest.raises(ValidationError):
             SyntheticSpec(a_x=0, b_x=0, a_y=0, b_y=0, n_frames=0)
@@ -203,6 +270,49 @@ class TestSynthesize:
             SyntheticSpec(a_x=0, b_x=0, a_y=0, b_y=0, n_frames=1, shake_prob=1.5)
         with pytest.raises(ValidationError):
             SyntheticSpec(a_x=0, b_x=0, a_y=0, b_y=0, n_frames=1, seed=2**64)
+
+
+def _reference_box_muller(rng):
+    u1 = 1.0 - rng.random()
+    u2 = rng.random()
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
+def _reference_axis(axis, a, b, spec, rng):
+    """The generator as first written: one Box-Muller call and spec reads per frame."""
+    samples = []
+    for frame in range(spec.n_frames):
+        t = float(frame)
+        try:
+            base = math.exp(a * t + b)
+            if spec.variant is Variant.SIN_EXPONENTIAL:
+                base += math.sin(a)
+            noise = _reference_box_muller(rng)
+            shake_decision = rng.random()
+            shake_offset = spec.shake_scale * (2.0 * rng.random() - 1.0)
+            value = base * math.exp(spec.noise_sigma * noise)
+        except OverflowError:
+            raise GenerationError(
+                f"generated value overflows at frame {frame} on the {axis.value} axis"
+            ) from None
+        if shake_decision < spec.shake_prob:
+            value += shake_offset
+        if not math.isfinite(value):
+            raise GenerationError(
+                f"generated value overflows at frame {frame} on the {axis.value} axis"
+            )
+        if not value > 0.0:
+            raise GenerationError(
+                f"generated non-positive value {value!r} at frame {frame} "
+                f"on the {axis.value} axis"
+            )
+        samples.append((t, value))
+    return tuple(samples)
+
+
+def reference_synthesize(spec):
+    return (_reference_axis(Axis.X, spec.a_x, spec.b_x, spec, random.Random(2 * spec.seed)),
+            _reference_axis(Axis.Y, spec.a_y, spec.b_y, spec, random.Random(2 * spec.seed + 1)))
 
 
 def test_distant_frame_degradation():

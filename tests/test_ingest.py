@@ -126,6 +126,12 @@ class TestParseCsv:
             parse_detections(self.HEADER + "0,nan,2,3,4,,\n", StreamFormat.CSV)
         assert "finite" in str(err.value)
 
+    def test_field_over_size_limit_cites_line(self):
+        text = self.HEADER + "0,1,2,3,4,,\n1,1,2,3,4,," + "x" * 200_000 + "\n"
+        with pytest.raises(ParseError) as err:
+            parse_detections(text, StreamFormat.CSV)
+        assert str(err.value).startswith("line 3: field larger than field limit")
+
 
 def random_records(rng, n):
     records = []

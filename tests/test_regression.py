@@ -219,6 +219,43 @@ class TestFitModel:
             polynomial(0)
 
 
+class TestSharedLogLine:
+    @staticmethod
+    def count_line_fits(monkeypatch):
+        from trackcast import regression
+
+        calls = []
+
+        def counted(pairs):
+            calls.append(len(pairs))
+            return fit_linear(pairs)
+
+        monkeypatch.setattr(regression, "fit_linear", counted)
+        return calls
+
+    def test_one_line_per_series_and_clamp_value(self, monkeypatch):
+        calls = self.count_line_fits(monkeypatch)
+        values = [(t, 2.0 + math.sin(t)) for t in range(12)]
+        s = series(values)
+        for clamp in (False, True, False, True):
+            for kind in EXP_FAMILY:
+                assert fit_model(s, kind, clamp) == fit_model(series(values), kind, clamp)
+        # the fresh copies fit 12 lines, the shared series one per clamp value
+        assert len(calls) == 12 + 2
+
+    def test_domain_error_names_each_kind(self):
+        s = series([(t, 0.0 if t == 4 else t + 1.0) for t in range(8)])
+        for kind in EXP_FAMILY:
+            with pytest.raises(DomainError) as err:
+                fit_model(s, kind)
+            assert f"under {kind.label} fit" in str(err.value)
+        for kind in EXP_FAMILY:
+            clamped = fit_model(s, kind, clamp_nonpositive=True)
+            assert clamped == fit_model(series(s.samples), kind, clamp_nonpositive=True)
+        with pytest.raises(DomainError):
+            fit_model(s, EXPONENTIAL)
+
+
 class TestPredict:
     def test_sinexp_constant_collapse(self):
         fit = FitResult(SIN_EXPONENTIAL, a=0.0, b=1.0, coefficients=(), n_points=10)

@@ -61,6 +61,23 @@ class TestWindow:
                         expected = expected[-length:]
                     assert window(s, WindowConfig(length=length), cutoff).samples == expected
 
+    def test_kept_window_is_never_stale(self):
+        rng = random.Random(8)
+        samples = tuple((float(t), rng.uniform(1, 9)) for t in range(0, 60, 2))
+        s = AxisSeries(Axis.X, samples)
+        for _ in range(300):
+            length = rng.choice((None, 2, 5, 40))
+            cutoff = rng.choice((rng.uniform(-5, 65), float(rng.randrange(0, 60, 2)),
+                                 math.inf, -math.inf, math.nan))
+            expected = tuple(p for p in samples if p[0] <= cutoff)
+            if length is not None:
+                expected = expected[-length:]
+            first = window(s, WindowConfig(length=length), cutoff)
+            assert first.samples == expected
+            assert first == AxisSeries(Axis.X, expected)
+            # the horizon is not part of the window, so the kept one is returned
+            assert window(s, WindowConfig(length=length, horizon=7), cutoff) is first
+
 
 class TestGate:
     REGION = Region(0, 10, 0, 10)
