@@ -10,10 +10,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Iterable, Sequence, Union
+from json.scanner import make_scanner
+from typing import IO, Iterable, NamedTuple, Sequence, Union
 
 from .errors import OrderingError, ParseError, ValidationError
 
@@ -37,14 +37,9 @@ StreamInput = Union[str, bytes, IO[str], IO[bytes]]
 MAX_FRAME = 2**53
 
 
-@dataclass(frozen=True)
-class DetectionRecord:
-    """One raw bounding box as emitted by an upstream detector.
-
-    The box is (left, top, width, height) in pixels; ``confidence`` is the
-    detector's score in [0, 1] and defaults to 1.0 when the stream omits it.
-    """
-
+# The fields of DetectionRecord. NamedTuple forbids a __new__ in the class
+# that declares the fields, so the invariants live in the subclass below.
+class _DetectionFields(NamedTuple):
     frame_index: int
     left: float
     top: float
@@ -53,22 +48,38 @@ class DetectionRecord:
     confidence: float = 1.0
     label: str = ""
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.frame_index <= MAX_FRAME:
+
+class DetectionRecord(_DetectionFields):
+    """One raw bounding box as emitted by an upstream detector.
+
+    The box is (left, top, width, height) in pixels; ``confidence`` is the
+    detector's score in [0, 1] and defaults to 1.0 when the stream omits it.
+    A named tuple: it unpacks, compares equal to a plain tuple of its fields,
+    and ``_replace`` checks the invariants again.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, frame_index: int, left: float, top: float, width: float,
+                height: float, confidence: float = 1.0, label: str = "") -> "DetectionRecord":
+        if not 0 <= frame_index <= MAX_FRAME:
             bad = "frame"
-        elif not self.width > 0:
+        elif not width > 0:
             bad = "width"
-        elif not self.height > 0:
+        elif not height > 0:
             bad = "height"
-        elif not 0.0 <= self.confidence <= 1.0:
+        elif not 0.0 <= confidence <= 1.0:
             bad = "confidence"
         else:
-            return
+            return tuple.__new__(cls, (frame_index, left, top, width, height, confidence, label))
         raise ValidationError(f"invalid value for '{bad}'")
 
+    @classmethod
+    def _make(cls, iterable) -> "DetectionRecord":
+        return cls(*iterable)
 
-@dataclass(frozen=True)
-class EndpointObservation:
+
+class EndpointObservation(NamedTuple):
     """A time-stamped center point (t, x, y) derived from one record."""
 
     t: float
@@ -125,15 +136,40 @@ def _require_numbers(values: Sequence, line_no: int) -> Sequence:
     """Left, top, width, height and confidence as decoded from a JSON line or
     a CSV row; each must be a finite number."""
     for key, value in zip(_NUMBER_KEYS, values):
-        if type(value) not in (int, float):  # bool is not a number here
+        kind = type(value)
+        if kind is float:
+            if value - value == 0.0:  # nan and +-inf give nan
+                continue
+        elif kind is int:  # bool is not a number here
+            try:
+                float(value)
+                continue
+            except OverflowError:  # an integer beyond the float range
+                pass
+        else:
             raise ParseError(f"line {line_no}: value for '{key}' must be a number")
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:  # an integer beyond the float range
-            finite = False
-        if not finite:
-            raise ParseError(f"line {line_no}: value for '{key}' must be finite")
+        raise ParseError(f"line {line_no}: value for '{key}' must be finite")
     return values
+
+
+# json.loads without its per-call Python layers: the same C scanner, run on
+# one line from its first character.
+_scan_json = make_scanner(json.JSONDecoder())
+_JSON_WHITESPACE = " \t\n\r"
+
+
+def _decode_json_line(line: str):
+    """The value of one JSON line, exactly as ``json.loads`` gives it. Only a
+    line that the scanner reads whole, up to trailing JSON whitespace, takes
+    the fast path; anything else (leading whitespace, a BOM, extra data, an
+    error) goes through ``json.loads`` so that it raises the same error."""
+    try:
+        obj, end = _scan_json(line, 0)
+    except (StopIteration, ValueError, RecursionError):
+        return json.loads(line)
+    if line[end:].lstrip(_JSON_WHITESPACE):
+        return json.loads(line)
+    return obj
 
 
 def _parse_jsonl(text: str) -> list[DetectionRecord]:
@@ -142,23 +178,22 @@ def _parse_jsonl(text: str) -> list[DetectionRecord]:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = _decode_json_line(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
         except (ValueError, RecursionError) as exc:  # integer too long, nesting too deep
             raise ParseError(f"line {line_no}: invalid JSON ({exc})") from None
         if not isinstance(obj, dict):
             raise ParseError(f"line {line_no}: expected a JSON object")
-        for key in ("frame", "left", "top", "width", "height"):
-            if key not in obj:
-                raise ParseError(f"line {line_no}: missing key '{key}'")
-        frame = obj["frame"]
-        if isinstance(frame, bool) or not isinstance(frame, int):
+        try:  # looked up in this order, so the first missing key is named
+            frame, left, top, width, height = (
+                obj["frame"], obj["left"], obj["top"], obj["width"], obj["height"])
+        except KeyError as exc:
+            raise ParseError(f"line {line_no}: missing key '{exc.args[0]}'") from None
+        if type(frame) is not int:  # JSON decodes no int subclass but bool
             raise ParseError(f"line {line_no}: value for 'frame' must be an integer")
-        left, top, width, height, confidence = _require_numbers(
-            (obj["left"], obj["top"], obj["width"], obj["height"], obj.get("confidence", 1.0)),
-            line_no,
-        )
+        confidence = obj.get("confidence", 1.0)
+        _require_numbers((left, top, width, height, confidence), line_no)
         label = obj.get("label", "")
         if not isinstance(label, str):
             raise ParseError(f"line {line_no}: value for 'label' must be a string")
@@ -196,12 +231,12 @@ def _read_csv(reader) -> list[DetectionRecord]:
             frame = int(row[0])
         except ValueError:
             raise ParseError(f"line {line_no}: value for 'frame' must be an integer") from None
-        numbers = []
-        for cell in (*row[1:5], row[5] or "1.0"):
-            try:
-                numbers.append(float(cell))
-            except ValueError:
-                numbers.append(cell)  # _require_numbers reports it as not a number
+        confidence = row[5] or "1.0"
+        try:
+            numbers = (float(row[1]), float(row[2]), float(row[3]), float(row[4]),
+                       float(confidence))
+        except ValueError:
+            numbers = [_csv_number(cell) for cell in (*row[1:5], confidence)]
         left, top, width, height, confidence = _require_numbers(numbers, line_no)
         records.append(
             _build_record(frame, left, top, width, height, confidence, row[6], line_no)
@@ -214,6 +249,15 @@ def _build_record(frame, left, top, width, height, confidence, label, line_no) -
         return DetectionRecord(frame, left, top, width, height, confidence, label)
     except ValidationError as exc:
         raise ValidationError(f"line {line_no}: {exc}") from None
+
+
+def _csv_number(cell: str):
+    """A cell as a float, or the cell itself, which ``_require_numbers``
+    reports as not a number."""
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
 
 
 def parse_detections(data: StreamInput, fmt: StreamFormat) -> list[DetectionRecord]:
@@ -272,26 +316,21 @@ def select_per_frame(records: list[DetectionRecord]) -> list[DetectionRecord]:
     best: dict[int, DetectionRecord] = {}
     for r in records:
         cur = best.get(r.frame_index)
-        if cur is None or _rank(r) < _rank(cur):
+        if cur is None or (-r.confidence, r.left, r.top) < (-cur.confidence, cur.left, cur.top):
             best[r.frame_index] = r
     return [best[frame] for frame in sorted(best)]
 
 
-def _rank(r: DetectionRecord) -> tuple[float, float, float]:
-    return (-r.confidence, r.left, r.top)
-
-
 def to_observation(record: DetectionRecord) -> EndpointObservation:
     """Center point of the box on the frame-index time axis."""
-    return EndpointObservation(
-        t=float(record.frame_index),
-        x=record.left + record.width / 2.0,
-        y=record.top + record.height / 2.0,
-    )
+    frame, left, top, width, height, _, _ = record
+    # An observation checks nothing, so it is built without the Python-level
+    # __new__ that namedtuple generates.
+    return tuple.__new__(EndpointObservation,
+                         (float(frame), left + width / 2.0, top + height / 2.0))
 
 
 def build_series(observations: list[EndpointObservation]) -> tuple[AxisSeries, AxisSeries]:
     """Split observations into an X series of (t, x) and a Y series of (t, y)."""
-    xs = AxisSeries(Axis.X, tuple((o.t, o.x) for o in observations))
-    ys = AxisSeries(Axis.Y, tuple((o.t, o.y) for o in observations))
-    return xs, ys
+    ts, xs, ys = zip(*observations) if observations else ((), (), ())
+    return AxisSeries(Axis.X, tuple(zip(ts, xs))), AxisSeries(Axis.Y, tuple(zip(ts, ys)))

@@ -60,6 +60,22 @@ class TestSimulate:
         assert code == 2
         assert "bogus" in err
 
+    @pytest.mark.parametrize("seed, message", [
+        ("-1", "seed must be an unsigned 64-bit integer"),
+        (str(2**64), "seed must be an unsigned 64-bit integer"),
+        ("x", "line 6: value for 'seed' must be an integer"),
+    ], ids=["negative", "beyond_64_bits", "not_an_integer"])
+    def test_seed_override_does_not_rescue_invalid_spec_seed(self, tmp_path, capsys,
+                                                              seed, message):
+        # The spec is validated as written, before --seed replaces its seed.
+        spec = tmp_path / "bad_seed.spec"
+        spec.write_text(f"a_x = 0\nb_x = 1\na_y = 0\nb_y = 1\nn_frames = 5\nseed = {seed}\n")
+        code = main(["simulate", "--spec", str(spec), "--seed", "1"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestFit:
     def test_exponential_recovery(self, run_cli, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from trackcast import (
     Axis,
     DetectionRecord,
+    EndpointObservation,
     OrderingError,
     ParseError,
     StreamFormat,
@@ -15,6 +17,8 @@ from trackcast import (
     select_per_frame,
     to_observation,
 )
+from trackcast import ingest
+from trackcast.ingest import CSV_HEADER
 
 JSONL_LINE = (
     '{"frame": 0, "left": 10, "top": 20, "width": 4, "height": 6, '
@@ -83,6 +87,59 @@ class TestParseJsonl:
         with pytest.raises(ParseError) as err:
             parse_detections(line, StreamFormat.JSONL)
         assert "finite" in str(err.value)
+
+
+BASE_LINE = '{"frame": 0, "left": 1, "top": 2, "width": 3, "height": 4}'
+LABELLED_LINE = BASE_LINE[:-1] + ', "label": %s}'
+
+# Lines that json.loads treats in every way it has: accepted with surrounding
+# whitespace, rejected for a BOM or extra data, literals the decoder accepts
+# but ingest does not, and the decoder's own ValueError and RecursionError.
+DECODER_LINES = {
+    "plain": BASE_LINE,
+    "spaces_and_tabs": " \t " + BASE_LINE + "\t  ",
+    "utf8_bom": "\ufeff" + BASE_LINE,
+    "trailing_data": BASE_LINE + " x",
+    "non_json_space_after": BASE_LINE + "\xa0",
+    "two_objects": BASE_LINE + BASE_LINE,
+    "nan": BASE_LINE.replace('"left": 1', '"left": NaN'),
+    "infinity": BASE_LINE.replace('"left": 1', '"left": Infinity'),
+    "minus_infinity": BASE_LINE.replace('"left": 1', '"left": -Infinity'),
+    "digits_401": BASE_LINE.replace('"left": 1', '"left": 1' + "0" * 400),
+    "digits_5000": BASE_LINE.replace('"left": 1', '"left": 1' + "0" * 4999),
+    "nested_100000": "[" * 10**5,
+    "bad_escape": LABELLED_LINE % '"\\q"',
+    "lone_surrogate_escape": LABELLED_LINE % '"\\ud800"',
+    "empty_array": "[]",
+    "empty_object": "{}",
+}
+
+
+def parse_outcome(line):
+    try:
+        return parse_detections(line, StreamFormat.JSONL)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+class TestJsonLineDecoder:
+    @pytest.mark.parametrize("line", DECODER_LINES.values(), ids=DECODER_LINES.keys())
+    def test_same_as_json_loads(self, line, monkeypatch):
+        got = parse_outcome(line)
+        try:
+            json.loads(line)
+        except json.JSONDecodeError as exc:
+            assert got == (ParseError, f"line 1: invalid JSON ({exc.msg})")
+        except (ValueError, RecursionError) as exc:
+            assert got == (ParseError, f"line 1: invalid JSON ({exc})")
+        monkeypatch.setattr(ingest, "_decode_json_line", json.loads)
+        assert got == parse_outcome(line)
+
+    def test_accepted_lines_give_the_decoded_record(self):
+        for key in ("plain", "spaces_and_tabs"):
+            assert parse_outcome(DECODER_LINES[key]) == [DetectionRecord(0, 1, 2, 3, 4)]
+        (record,) = parse_outcome(DECODER_LINES["lone_surrogate_escape"])
+        assert record.label == "\ud800"
 
 
 class TestParseCsv:
@@ -248,3 +305,81 @@ class TestRecordInvariants:
         line = 2 if fmt is StreamFormat.CSV else 1  # a CSV stream starts with its header
         assert str(err.value) == f"line {line}: invalid value for 'frame'"
 
+
+
+def stream_with(fmt, **fields):
+    """A one-record stream in ``fmt`` whose fields are given as written."""
+    values = {"frame": 4, "left": 1.0, "top": 2.0, "width": 3.0, "height": 4.0,
+              "confidence": 0.5, "label": "tip"}
+    values.update(fields)
+    if fmt is StreamFormat.JSONL:
+        return json.dumps(values) + "\n"
+    return ",".join(CSV_HEADER) + "\n" + ",".join(str(values[k]) for k in CSV_HEADER) + "\n"
+
+
+class TestRecordContract:
+    def test_fields_cannot_be_assigned(self):
+        record = DetectionRecord(0, 1, 2, 3, 4)
+        with pytest.raises(AttributeError):
+            record.left = 5.0
+        with pytest.raises(AttributeError):
+            record.extra = 1  # no per-record __dict__
+
+    def test_repr_text(self):
+        record = DetectionRecord(0, 10.0, 20.0, 4.0, 6.0, 0.9, "rebar_endpoint")
+        assert repr(record) == (
+            "DetectionRecord(frame_index=0, left=10.0, top=20.0, width=4.0, height=6.0, "
+            "confidence=0.9, label='rebar_endpoint')"
+        )
+        assert repr(EndpointObservation(1.0, 2.0, 3.0)) == "EndpointObservation(t=1.0, x=2.0, y=3.0)"
+
+    def test_defaults(self):
+        record = DetectionRecord(3, 1, 2, 3, 4)
+        assert (record.confidence, record.label) == (1.0, "")
+
+    def test_named_tuples_unpack_and_equal_plain_tuples(self):
+        record = DetectionRecord(3, 1.0, 2.0, 3.0, 4.0, 0.5, "tip")
+        assert record == (3, 1.0, 2.0, 3.0, 4.0, 0.5, "tip")
+        t, x, y = to_observation(record)
+        assert (t, x, y) == (3.0, 2.5, 4.0)
+        assert type(to_observation(record)) is EndpointObservation
+
+    def test_replace_checks_invariants(self):
+        record = DetectionRecord(3, 1, 2, 3, 4)
+        assert record._replace(left=7) == DetectionRecord(3, 7, 2, 3, 4)
+        with pytest.raises(ValidationError) as err:
+            record._replace(width=0)
+        assert str(err.value) == "invalid value for 'width'"
+
+    @pytest.mark.parametrize("fmt", list(StreamFormat))
+    @pytest.mark.parametrize("fields, message", [
+        ({"frame": -1}, "invalid value for 'frame'"),
+        ({"frame": -1, "width": 0}, "invalid value for 'frame'"),
+        ({"width": 0}, "invalid value for 'width'"),
+        ({"height": -2.5}, "invalid value for 'height'"),
+        ({"confidence": 1.5}, "invalid value for 'confidence'"),
+        ({"confidence": -0.25}, "invalid value for 'confidence'"),
+        ({"top": "x"}, "value for 'top' must be a number"),
+        ({"left": "x", "height": "inf"}, "value for 'left' must be a number"),
+        ({"width": float("inf")}, "value for 'width' must be finite"),
+    ], ids=["frame", "frame_first", "width", "height", "confidence_high", "confidence_low",
+            "not_a_number", "first_bad_cell", "not_finite"])
+    def test_invalid_value_message(self, fmt, fields, message):
+        line = 2 if fmt is StreamFormat.CSV else 1  # a CSV stream starts with its header
+        with pytest.raises((ParseError, ValidationError)) as err:
+            parse_detections(stream_with(fmt, **fields), fmt)
+        assert str(err.value) == f"line {line}: {message}"
+
+    def test_select_tie_breaks_match_reference(self):
+        rng = random.Random(5)
+        records = [
+            DetectionRecord(rng.randrange(25), rng.choice([1.0, 2.0, 3.0]), rng.choice([1.0, 2.0]),
+                            1, 1, rng.choice([0.5, 0.9]), label=str(i))
+            for i in range(500)
+        ]
+        expected = []
+        for frame in sorted({r.frame_index for r in records}):
+            group = [r for r in records if r.frame_index == frame]
+            # min keeps the first of fully tied records, as select_per_frame does
+            expected.append(min(group, key=lambda r: (-r.confidence, r.left, r.top)))
+        assert select_per_frame(records) == expected
