@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 
@@ -43,6 +44,9 @@ from .trajectory import (
 
 SIMULATED_BOX_SIZE = 4.0
 SIMULATED_LABEL = "rebar_endpoint"
+# The plotted curve steps over whole frames, every frame up to this many and
+# an even stride beyond, so a distant target cannot grow the SVG without bound.
+MAX_CURVE_FRAMES = 1000
 
 
 def _window_arg(text: str) -> int | None:
@@ -199,8 +203,9 @@ def cmd_plot(args) -> int:
         fit = fit_axis(series, kind, config, cutoff, args.clamp_nonpositive)
         if not math.isfinite(t_target):  # the curve steps over whole frames up to it
             raise ValidationError(f"plot needs a finite target frame, got {t_target!r}")
-        start = windowed.samples[0][0]
-        curve_ts = [float(t) for t in range(math.ceil(start), math.floor(t_target) + 1)]
+        first, last = math.ceil(windowed.samples[0][0]), math.floor(t_target)
+        stride = max(1, -(-(last - first + 1) // MAX_CURVE_FRAMES))
+        curve_ts = [float(t) for t in range(first, last + 1, stride)]
         if not curve_ts or curve_ts[-1] != t_target:
             curve_ts.append(t_target)
         curve = tuple((t, predict(fit, t)) for t in curve_ts)
@@ -217,6 +222,7 @@ def cmd_plot(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the trackcast command line on every call."""
     parser = argparse.ArgumentParser(
         prog="trackcast",
         description="Fit tracked-endpoint trajectories and predict positions "
@@ -228,13 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--spec", required=True, help="synthetic trajectory spec file")
     sim.add_argument("--seed", type=int, default=None, help="override the spec's seed")
     sim.add_argument("--out", default="-", help="output path, '-' for stdout")
-    sim.set_defaults(func=cmd_simulate)
 
     fit = subs.add_parser("fit", help="fit one axis and print the parameters")
     _add_stream_options(fit)
     _add_fit_options(fit)
     fit.add_argument("--axis", choices=["x", "y"], required=True)
-    fit.set_defaults(func=cmd_fit)
 
     pred = subs.add_parser("predict", help="predict the endpoint position ahead")
     _add_stream_options(pred)
@@ -243,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="frames ahead of the cutoff")
     pred.add_argument("--region", type=_region_arg, default=None,
                       help="defect gate rectangle x0,y0,x1,y1")
-    pred.set_defaults(func=cmd_predict)
 
     comp = subs.add_parser("compare", help="score several models against ground truth")
     _add_stream_options(comp)
@@ -254,22 +257,29 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--table", choices=["csv", "text"], default="csv",
                       help="output rendering")
     comp.add_argument("--out", default="-", help="output path, '-' for stdout")
-    comp.set_defaults(func=cmd_compare)
 
     plot = subs.add_parser("plot", help="emit a two-panel SVG of fit and prediction")
     _add_stream_options(plot)
     _add_fit_options(plot)
     plot.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
     plot.add_argument("--out", required=True, help="SVG output path")
-    plot.set_defaults(func=cmd_plot)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call. Building one takes
+    longer than a call's own work; a parse keeps no state on the parser."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Looked up per call, so a cmd_* replaced after the parser was built runs.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except TrackcastError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -173,8 +173,12 @@ def _decode_json_line(line: str):
 
 
 def _parse_jsonl(text: str) -> list[DetectionRecord]:
+    # Lines end at \n, \r\n or \r only: str.splitlines() would also split
+    # at U+2028, U+2029 and U+0085, which JSON allows raw inside a string.
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     records = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:

@@ -1,12 +1,16 @@
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
+import trackcast
+from trackcast import StreamFormat, cli, parse_detections, render_detections
 from trackcast.cli import main
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -297,6 +301,34 @@ class TestPlot:
         code, _, _ = run_cli("plot", "--model", "exp", "--out", str(svg), stdin="")
         assert code == 2
 
+    # 20 frames (0..19) and the default horizon of 60: the curve runs from
+    # frame 0 to cutoff + 60, every frame while that span is within the bound.
+    @pytest.mark.parametrize("cutoff, points", [
+        (19, 80),
+        (cli.MAX_CURVE_FRAMES - 61, cli.MAX_CURVE_FRAMES),
+        (cli.MAX_CURVE_FRAMES - 60, cli.MAX_CURVE_FRAMES // 2 + 1),
+        (10**6, None),
+        (2**53 - 100, None),
+    ], ids=["paper_span", "at_bound", "past_bound", "target_1e6", "target_near_2_53"])
+    def test_curve_points_are_bounded(self, tmp_path, capsys, cutoff, points):
+        stream = tmp_path / "stream.jsonl"
+        stream.write_text(jsonl_stream(lambda t: 10.0 + t, lambda t: 20.0 - 0.5 * t, 20))
+        svg = tmp_path / "fit.svg"
+        code = main(["plot", "--input", str(stream), "--model", "linear",
+                     "--cutoff", str(cutoff), "--out", str(svg)])
+        assert code == 0
+        assert capsys.readouterr() == ("", "")
+        assert svg.stat().st_size < 64_000
+        for panel in ET.parse(svg).getroot().findall(f"{SVG_NS}g"):
+            curve = panel.find(f"{SVG_NS}polyline").get("points").split()
+            if points is None:
+                assert cli.MAX_CURVE_FRAMES // 2 < len(curve) <= cli.MAX_CURVE_FRAMES + 1
+            else:
+                assert len(curve) == points
+            (prediction,) = [c for c in panel.iter(f"{SVG_NS}circle")
+                             if c.get("class") == "prediction"]
+            assert curve[-1] == f"{prediction.get('cx')},{prediction.get('cy')}"
+
 
 class TestExitCodes:
     def test_unknown_model_exits_2(self, run_cli, constant_spec, tmp_path):
@@ -389,3 +421,89 @@ class TestHostileInput:
         assert code == 2
         assert "input is not UTF-8" in err
 
+
+def in_process(*argv):
+    """``main(argv)`` in this process; a usage error's exit code as returned."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; every later call must
+    behave as a fresh ``python -m trackcast`` does."""
+
+    def test_repeated_calls_match_fresh_processes(self, run_cli, growth_spec, tmp_path,
+                                                  capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # usage and help wrap at the same width
+        jsonl, csv = tmp_path / "stream.jsonl", tmp_path / "stream.csv"
+        main(["simulate", "--spec", str(growth_spec), "--out", str(jsonl)])
+        records = parse_detections(jsonl.read_text(), StreamFormat.JSONL)
+        csv.write_text(render_detections(records, StreamFormat.CSV))
+        hostile = tmp_path / "hostile.jsonl"
+        hostile.write_bytes(TestHostileInput.HUGE_LEFT)
+        j, c, cut = str(jsonl), str(csv), ["--cutoff", "30"]
+        svg = tmp_path / "fit.svg"
+        calls = [  # the cli_paper mix, then a usage error, help and a hostile input
+            ["simulate", "--spec", str(growth_spec), "--seed", "11"],
+            ["fit", "--input", j, "--axis", "x", "--model", "linear"],
+            ["fit", "--input", c, "--format", "csv", "--axis", "y", "--model", "exp",
+             *cut, "--window", "20"],
+            ["predict", "--input", j, "--model", "sinexp", *cut, "--horizon", "60",
+             "--region", "0,0,5,30"],
+            ["compare", "--input", j, *cut],
+            ["compare", "--input", c, "--format", "csv", *cut, "--table", "text"],
+            ["plot", "--input", j, "--model", "sinexp", *cut, "--out", str(svg)],
+            ["fit", "--axis", "z"],
+            ["predict", "--help"],
+            ["fit", "--input", str(hostile), "--axis", "x", "--model", "linear"],
+        ]
+        for argv in calls:  # warm-up: the parser is built and reused
+            in_process(*argv)
+        capsys.readouterr()
+        codes = []
+        for argv in calls:
+            svg.unlink(missing_ok=True)
+            code = in_process(*argv)
+            out, err = capsys.readouterr()
+            written = svg.read_bytes() if svg.exists() else None
+            svg.unlink(missing_ok=True)
+            assert (code, out, err) == run_cli(*argv), argv
+            assert written == (svg.read_bytes() if svg.exists() else None), argv
+            codes.append(code)
+        assert codes == [0, 0, 0, 3, 0, 0, 0, 2, 0, 2]
+
+    def test_main_builds_one_parser(self, monkeypatch, capsys):
+        built = []
+        build = cli.build_parser
+
+        def counting_build():
+            built.append(build())
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert in_process("fit", "--axis", "z") == 2
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+        first, second = build(), build()
+        assert first is not second
+        assert first.format_help() == second.format_help()
+
+    def test_replaced_command_runs(self, monkeypatch):
+        cli._parser()
+        monkeypatch.setattr(cli, "cmd_fit", lambda args: 7 if args.axis == "y" else 0)
+        assert main(["fit", "--axis", "y"]) == 7
+
+
+def test_start_up_imports_no_thread_pool():
+    src = Path(trackcast.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import trackcast.cli, sys; print('concurrent.futures' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")

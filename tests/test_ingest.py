@@ -112,6 +112,13 @@ DECODER_LINES = {
     "lone_surrogate_escape": LABELLED_LINE % '"\\ud800"',
     "empty_array": "[]",
     "empty_object": "{}",
+    # Line breaks for str.splitlines() but not for JSON lines: raw inside a
+    # string they are part of the label, outside one they are not whitespace.
+    "line_separator_in_label": LABELLED_LINE % '"a\u2028b"',
+    "paragraph_separator_in_label": LABELLED_LINE % '"a\u2029b"',
+    "next_line_in_label": LABELLED_LINE % '"a\x85b"',
+    "line_separator_after": BASE_LINE + "\u2028",
+    "form_feed_after": BASE_LINE + "\x0c",
 }
 
 
@@ -140,6 +147,30 @@ class TestJsonLineDecoder:
             assert parse_outcome(DECODER_LINES[key]) == [DetectionRecord(0, 1, 2, 3, 4)]
         (record,) = parse_outcome(DECODER_LINES["lone_surrogate_escape"])
         assert record.label == "\ud800"
+
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"],
+                             ids=["U+2028", "U+2029", "U+0085"])
+    def test_unicode_line_break_in_label_stays_in_its_line(self, char):
+        line = json.dumps({"frame": 1, "left": 1, "top": 2, "width": 3, "height": 4,
+                           "label": f"a{char}b"}, ensure_ascii=False)
+        assert char in line
+        obj = json.loads(line)
+        expected = DetectionRecord(obj["frame"], obj["left"], obj["top"], obj["width"],
+                                   obj["height"], label=obj["label"])
+        records = parse_detections(f"{BASE_LINE}\n{line}\n{BASE_LINE}\n", StreamFormat.JSONL)
+        assert records[1] == expected
+        assert len(records) == 3
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r", "\r\n\r"],
+                             ids=["LF", "CRLF", "CR", "CRLF_then_CR"])
+    def test_line_endings_and_error_line_numbers(self, newline):
+        lines = [BASE_LINE, "", BASE_LINE, "{not json", BASE_LINE]
+        assert len(parse_outcome(newline.join(lines[:3]) + newline)) == 2
+        text = newline.join(lines)
+        bad_line = text.splitlines().index("{not json") + 1  # no Unicode breaks here
+        kind, message = parse_outcome(text)
+        assert kind is ParseError
+        assert message.startswith(f"line {bad_line}: invalid JSON")
 
 
 class TestParseCsv:
