@@ -15,7 +15,6 @@ six decimal places so outputs are byte-stable.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import sys
@@ -47,6 +46,22 @@ SIMULATED_LABEL = "rebar_endpoint"
 # The plotted curve steps over whole frames, every frame up to this many and
 # an even stride beyond, so a distant target cannot grow the SVG without bound.
 MAX_CURVE_FRAMES = 1000
+# Options whose value may start with '-': a negative number, -inf, a region.
+_SIGNED_OPTIONS = ("--cutoff", "--region", "--horizon", "--window", "--poly-degree", "--seed")
+
+
+def _join_signed_values(argv: list[str]) -> list[str]:
+    """argv with each signed option, or its abbreviation, joined as ``--cutoff=-1e3``
+    to a next token that starts with '-' but is no option (``--...`` or ``-h``):
+    argparse takes such a token for a value only if it reads like -5."""
+    out = []
+    for token in argv:
+        if (token[:1] == "-" and token[1:2] != "-" and token != "-h" and out
+                and len(out[-1]) > 2 and any(name.startswith(out[-1]) for name in _SIGNED_OPTIONS)):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
 
 
 def _window_arg(text: str) -> int | None:
@@ -122,7 +137,7 @@ def _add_fit_options(sub) -> None:
 def cmd_simulate(args) -> int:
     spec = evaluation.parse_synthetic_spec(_read(args.spec))
     if args.seed is not None:
-        spec = dataclasses.replace(spec, seed=args.seed)
+        spec = spec._replace(seed=args.seed)
     xs, ys = evaluation.synthesize(spec)
     half = SIMULATED_BOX_SIZE / 2.0
     lines = []
@@ -275,7 +290,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
     # Looked up per call, so a cmd_* replaced after the parser was built runs.
     command = globals()[f"cmd_{args.command}"]
     try:

@@ -20,10 +20,10 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from enum import Enum
 from operator import itemgetter
-from typing import Iterable, Sequence
 
 from .errors import (
     FitError,
@@ -56,21 +56,11 @@ DEFAULT_KINDS: tuple[ModelKind, ...] = (
 COMPARISON_CSV_HEADER = "model,err_x_pct,err_y_pct,t_target,pred_x,pred_y,actual_x,actual_y"
 
 
-@dataclass(frozen=True)
-class ErrorReport:
-    """Per-model prediction errors at the target frame.
-
-    ``err_x_pct``/``err_y_pct``/``predicted`` are None (unavailable) when
-    the fit or the prediction failed; ``failure`` then carries the reason.
-    """
-
-    kind: ModelKind
-    err_x_pct: float | None
-    err_y_pct: float | None
-    t_target: float
-    predicted: tuple[float, float] | None
-    actual: tuple[float, float]
-    failure: str | None = None
+# Per-model prediction errors at the target frame. ``err_x_pct``,
+# ``err_y_pct`` and ``predicted`` are None (unavailable) when the fit or the
+# prediction failed; ``failure`` then carries the reason.
+ErrorReport = namedtuple("ErrorReport", "kind err_x_pct err_y_pct t_target predicted actual "
+                         "failure", defaults=(None,))
 
 
 class Variant(Enum):
@@ -78,32 +68,32 @@ class Variant(Enum):
     SIN_EXPONENTIAL = "sin_exponential"
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
+class SyntheticSpec(namedtuple("SyntheticSpec", "a_x b_x a_y b_y variant n_frames noise_sigma "
+                                                "shake_prob shake_scale seed")):
     """Seeded generator parameters for one oracle trajectory."""
 
-    a_x: float
-    b_x: float
-    a_y: float
-    b_y: float
-    variant: Variant = Variant.PURE_EXPONENTIAL
-    n_frames: int = 100
-    noise_sigma: float = 0.0
-    shake_prob: float = 0.0
-    shake_scale: float = 0.0
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n_frames < 1:
-            raise ValidationError(f"n_frames must be >= 1, got {self.n_frames}")
-        if self.noise_sigma < 0:
-            raise ValidationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if not 0.0 <= self.shake_prob <= 1.0:
-            raise ValidationError(f"shake_prob must be in [0, 1], got {self.shake_prob}")
-        if self.shake_scale < 0:
-            raise ValidationError(f"shake_scale must be >= 0, got {self.shake_scale}")
-        if not 0 <= self.seed < 2**64:
+    def __new__(cls, a_x: float, b_x: float, a_y: float, b_y: float,
+                variant: Variant = Variant.PURE_EXPONENTIAL, n_frames: int = 100,
+                noise_sigma: float = 0.0, shake_prob: float = 0.0, shake_scale: float = 0.0,
+                seed: int = 0) -> "SyntheticSpec":
+        if n_frames < 1:
+            raise ValidationError(f"n_frames must be >= 1, got {n_frames}")
+        if noise_sigma < 0:
+            raise ValidationError(f"noise_sigma must be >= 0, got {noise_sigma}")
+        if not 0.0 <= shake_prob <= 1.0:
+            raise ValidationError(f"shake_prob must be in [0, 1], got {shake_prob}")
+        if shake_scale < 0:
+            raise ValidationError(f"shake_scale must be >= 0, got {shake_scale}")
+        if not 0 <= seed < 2**64:
             raise ValidationError("seed must be an unsigned 64-bit integer")
+        return tuple.__new__(cls, (a_x, b_x, a_y, b_y, variant, n_frames, noise_sigma,
+                                   shake_prob, shake_scale, seed))
+
+    @classmethod
+    def _make(cls, iterable) -> "SyntheticSpec":
+        return cls(*iterable)
 
 
 def error_rate(predicted: float, actual: float) -> float:

@@ -10,10 +10,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from enum import Enum
 from json.scanner import make_scanner
-from typing import IO, Iterable, NamedTuple, Sequence, Union
 
 from .errors import OrderingError, ParseError, ValidationError
 
@@ -31,25 +31,12 @@ class Axis(Enum):
 CSV_HEADER = ["frame", "left", "top", "width", "height", "confidence", "label"]
 _NUMBER_KEYS = CSV_HEADER[1:6]
 
-StreamInput = Union[str, bytes, IO[str], IO[bytes]]
-
 # Above 2**53 not every integer is a float, so a frame would lose its exact time.
 MAX_FRAME = 2**53
 
 
-# The fields of DetectionRecord. NamedTuple forbids a __new__ in the class
-# that declares the fields, so the invariants live in the subclass below.
-class _DetectionFields(NamedTuple):
-    frame_index: int
-    left: float
-    top: float
-    width: float
-    height: float
-    confidence: float = 1.0
-    label: str = ""
-
-
-class DetectionRecord(_DetectionFields):
+class DetectionRecord(namedtuple("DetectionRecord",
+                                 "frame_index left top width height confidence label")):
     """One raw bounding box as emitted by an upstream detector.
 
     The box is (left, top, width, height) in pixels; ``confidence`` is the
@@ -79,48 +66,74 @@ class DetectionRecord(_DetectionFields):
         return cls(*iterable)
 
 
-class EndpointObservation(NamedTuple):
-    """A time-stamped center point (t, x, y) derived from one record."""
-
-    t: float
-    x: float
-    y: float
+# A time-stamped center point (t, x, y) derived from one record.
+EndpointObservation = namedtuple("EndpointObservation", "t x y")
 
 
-@dataclass(frozen=True)
 class AxisSeries:
     """One coordinate axis over time: ordered (t, value) samples.
 
     A series never changes after it is built, so results derived from it can
-    be kept on it: ``trajectory.window`` keeps its last window there and
-    ``regression.fit_model`` its exponential-family line. Neither is a field,
-    so equality, hashing and ``repr`` see only the axis and the samples.
+    be kept on it: ``trajectory.window`` keeps its last window in ``_window``
+    and ``regression.fit_model`` its exponential-family line in
+    ``_log_line`` or ``_log_line_clamped``. Equality, hashing and ``repr``
+    see only ``axis`` and ``samples``, which refuse assignment.
     """
 
-    axis: Axis
-    samples: tuple[tuple[float, float], ...]
+    __slots__ = ("axis", "samples", "_window", "_log_line", "_log_line_clamped")
 
-    def __post_init__(self) -> None:
+    def __init__(self, axis: Axis, samples: tuple[tuple[float, float], ...]) -> None:
         prev = None
-        for t, _ in self.samples:
+        for t, _ in samples:
             if prev is not None and t <= prev:
                 raise OrderingError(
-                    f"{self.axis.value} series t values must be strictly increasing "
+                    f"{axis.value} series t values must be strictly increasing "
                     f"(t={t!r} after t={prev!r})"
                 )
             prev = t
+        _fill(self, axis, samples)
 
     @classmethod
     def _ordered(cls, axis: Axis, samples: tuple[tuple[float, float], ...]) -> "AxisSeries":
         """A series from samples already known to be strictly increasing in t,
         such as a slice of another series; the ordering check is skipped."""
         series = object.__new__(cls)
-        object.__setattr__(series, "axis", axis)
-        object.__setattr__(series, "samples", samples)
+        _fill(series, axis, samples)
         return series
 
+    def __setattr__(self, name: str, value) -> None:
+        if name == "axis" or name == "samples":
+            raise AttributeError(f"cannot assign to field {name!r}")
+        object.__setattr__(self, name, value)
 
-def read_text(data: StreamInput) -> str:
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.axis, self.samples) == (other.axis, other.samples)
+
+    def __hash__(self) -> int:
+        return hash((self.axis, self.samples))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(axis={self.axis!r}, samples={self.samples!r})"
+
+    def __reduce__(self):  # copy and pickle rebuild the fields; the memos start empty
+        return self.__class__, (self.axis, self.samples)
+
+
+def _fill(series: AxisSeries, axis: Axis, samples: tuple[tuple[float, float], ...]) -> None:
+    set_slot = object.__setattr__
+    set_slot(series, "axis", axis)
+    set_slot(series, "samples", samples)
+    set_slot(series, "_window", None)
+    set_slot(series, "_log_line", None)
+    set_slot(series, "_log_line_clamped", None)
+
+
+def read_text(data: str | bytes | io.IOBase) -> str:
     """The text of a stream: a str as is, bytes or a binary file as UTF-8."""
     if hasattr(data, "read"):
         data = data.read()
@@ -264,7 +277,7 @@ def _csv_number(cell: str):
         return cell
 
 
-def parse_detections(data: StreamInput, fmt: StreamFormat) -> list[DetectionRecord]:
+def parse_detections(data: str | bytes | io.IOBase, fmt: StreamFormat) -> list[DetectionRecord]:
     """Decode a detection stream into records, preserving file order.
 
     No deduplication or reordering happens here. Raises ParseError for

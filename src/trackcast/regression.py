@@ -12,9 +12,9 @@ the normal equations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from enum import Enum
-from typing import Sequence
 
 from .errors import (
     DegenerateAbscissaError,
@@ -49,19 +49,22 @@ EXPONENTIAL_CORRECTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class ModelKind:
+class ModelKind(namedtuple("ModelKind", "family degree")):
     """A model selector: family plus degree for the polynomial baseline."""
 
-    family: ModelFamily
-    degree: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.family is ModelFamily.POLYNOMIAL:
-            if self.degree < 1:
+    def __new__(cls, family: ModelFamily, degree: int = 0) -> "ModelKind":
+        if family is ModelFamily.POLYNOMIAL:
+            if degree < 1:
                 raise ValidationError("polynomial degree must be >= 1")
-        elif self.degree != 0:
-            raise ValidationError(f"{self.family.value} takes no degree")
+        elif degree != 0:
+            raise ValidationError(f"{family.value} takes no degree")
+        return tuple.__new__(cls, (family, degree))
+
+    @classmethod
+    def _make(cls, iterable) -> "ModelKind":
+        return cls(*iterable)
 
     @property
     def label(self) -> str:
@@ -97,30 +100,15 @@ def polynomial(degree: int) -> ModelKind:
     return ModelKind(ModelFamily.POLYNOMIAL, degree)
 
 
-@dataclass(frozen=True)
-class LinearFit:
-    slope: float
-    intercept: float
+LinearFit = namedtuple("LinearFit", "slope intercept")
+
+# A fitted model. ``a``/``b`` are the growth coefficient and corrected
+# intercept (unused for polynomials, which carry ascending-power
+# ``coefficients`` instead). ``residual_rmse`` measures the fit on a series.
+FitResult = namedtuple("FitResult", "kind a b coefficients n_points")
 
 
-@dataclass(frozen=True)
-class FitResult:
-    """A fitted model. ``a``/``b`` are the growth coefficient and corrected
-    intercept (unused for polynomials, which carry ascending-power
-    ``coefficients`` instead). ``residual_rmse`` measures the fit on a series.
-    """
-
-    kind: ModelKind
-    a: float
-    b: float
-    coefficients: tuple[float, ...]
-    n_points: int
-
-
-Pairs = Sequence[tuple[float, float]]
-
-
-def fit_linear(pairs: Pairs) -> LinearFit:
+def fit_linear(pairs: Sequence[tuple[float, float]]) -> LinearFit:
     """Ordinary least squares line through (t, v) pairs."""
     n = len(pairs)
     if n < 2:
@@ -171,7 +159,7 @@ def fit_model(series: AxisSeries, kind: ModelKind, clamp_nonpositive: bool = Fal
 def _log_line(series: AxisSeries, kind: ModelKind, clamp_nonpositive: bool) -> LinearFit:
     """The least-squares line on (t, ln v), kept on the series per clamp value."""
     name = "_log_line_clamped" if clamp_nonpositive else "_log_line"
-    line = series.__dict__.get(name)
+    line = getattr(series, name)
     if line is not None:
         return line
     logs = []
@@ -185,11 +173,11 @@ def _log_line(series: AxisSeries, kind: ModelKind, clamp_nonpositive: bool) -> L
             v = CLAMP_FLOOR
         logs.append((t, math.log(v)))
     line = fit_linear(logs)
-    object.__setattr__(series, name, line)
+    setattr(series, name, line)
     return line
 
 
-def _fit_polynomial(samples: Pairs, degree: int) -> tuple[float, ...]:
+def _fit_polynomial(samples: Sequence[tuple[float, float]], degree: int) -> tuple[float, ...]:
     """Least-squares polynomial via the normal equations, ascending powers."""
     m = degree + 1
     # moments[k] = sum of t^k, k = 0 .. 2*degree

@@ -6,7 +6,7 @@ bytes; no imaging library is involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .numfmt import fixed6
 
@@ -23,14 +23,8 @@ CURVE_STYLE = 'class="curve" fill="none" stroke="#1f77b4" stroke-width="1.5"'
 PREDICTION_STYLE = 'class="prediction" r="5" fill="none" stroke="#d62728" stroke-width="2"'
 
 
-@dataclass(frozen=True)
-class Panel:
-    """One axis panel: observed samples, fitted curve, predicted point."""
-
-    title: str
-    samples: tuple[tuple[float, float], ...]
-    curve: tuple[tuple[float, float], ...]
-    prediction: tuple[float, float]
+# One axis panel: observed samples, fitted curve, predicted point.
+Panel = namedtuple("Panel", "title samples curve prediction")
 
 
 def _span(values: list[float]) -> tuple[float, float]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import TrackcastError, ValidationError
 from .ingest import AxisSeries
@@ -12,50 +12,49 @@ from .regression import FitResult, ModelKind, fit_model, predict
 DEFAULT_HORIZON = 60
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(namedtuple("Region", "x_min x_max y_min y_max")):
     """Axis-aligned rectangle in pixel space; the defect gate boundary."""
 
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
+    def __new__(cls, x_min: float, x_max: float, y_min: float, y_max: float) -> "Region":
+        if not (x_min < x_max and y_min < y_max):
             raise ValidationError(
                 "region requires x_min < x_max and y_min < y_max, got "
-                f"[{self.x_min}, {self.x_max}] x [{self.y_min}, {self.y_max}]"
+                f"[{x_min}, {x_max}] x [{y_min}, {y_max}]"
             )
+        return tuple.__new__(cls, (x_min, x_max, y_min, y_max))
+
+    @classmethod
+    def _make(cls, iterable) -> "Region":
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class WindowConfig:
+class WindowConfig(namedtuple("WindowConfig", "length horizon")):
     """History window and prediction horizon, both in frames.
 
     ``length`` None means the entire history.
     """
 
-    length: int | None = None
-    horizon: int = DEFAULT_HORIZON
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.horizon < 1:
-            raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
+    def __new__(cls, length: int | None = None, horizon: int = DEFAULT_HORIZON) -> "WindowConfig":
+        if horizon < 1:
+            raise ValidationError(f"horizon must be >= 1, got {horizon}")
         try:
-            float(self.horizon)  # it is added to float frame times
+            float(horizon)  # it is added to float frame times
         except OverflowError:
             raise ValidationError("horizon is beyond the float range") from None
-        if self.length is not None and self.length < 2:
-            raise ValidationError(f"window length must be >= 2, got {self.length}")
+        if length is not None and length < 2:
+            raise ValidationError(f"window length must be >= 2, got {length}")
+        return tuple.__new__(cls, (length, horizon))
+
+    @classmethod
+    def _make(cls, iterable) -> "WindowConfig":
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class PredictedEndpoint:
-    t_target: float
-    x: float
-    y: float
-    defect: bool
+PredictedEndpoint = namedtuple("PredictedEndpoint", "t_target x y defect")
 
 
 def window(series: AxisSeries, config: WindowConfig, cutoff_t: float) -> AxisSeries:
@@ -69,7 +68,7 @@ def window(series: AxisSeries, config: WindowConfig, cutoff_t: float) -> AxisSer
     ``fit_model`` keeps on the window.
     """
     key = (config.length, cutoff_t)
-    kept = series.__dict__.get("_window")
+    kept = series._window
     if kept is not None and kept[0] == key:
         return kept[1]
     samples = series.samples
@@ -79,7 +78,7 @@ def window(series: AxisSeries, config: WindowConfig, cutoff_t: float) -> AxisSer
     end = bisect_left(samples, True, key=lambda s: not s[0] <= cutoff_t)
     start = 0 if config.length is None else max(0, end - config.length)
     windowed = AxisSeries._ordered(series.axis, samples[start:end])
-    object.__setattr__(series, "_window", (key, windowed))
+    series._window = (key, windowed)
     return windowed
 
 

@@ -80,6 +80,13 @@ class TestSimulate:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)], ids=["negative", "beyond_64_bits"])
+    def test_seed_override_out_of_range_exits_2(self, growth_spec, capsys, seed):
+        # --seed goes through SyntheticSpec._replace, which checks it again.
+        code = main(["simulate", "--spec", str(growth_spec), "--seed", seed])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (2, "", "error: seed must be an unsigned 64-bit integer\n")
+
 
 class TestFit:
     def test_exponential_recovery(self, run_cli, tmp_path):
@@ -422,6 +429,46 @@ class TestHostileInput:
         assert "input is not UTF-8" in err
 
 
+class TestSignedOptionValues:
+    """A numeric option takes a value that starts with '-' even where argparse
+    would not read it as a negative number, checked in-process."""
+
+    @pytest.fixture
+    def stream(self, tmp_path):
+        path = tmp_path / "stream.jsonl"
+        path.write_text(jsonl_stream(lambda t: 10.0 + t, lambda t: 20.0, 10))
+        return str(path)
+
+    @staticmethod
+    def run(capsys, *argv):
+        code = in_process(*argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @pytest.mark.parametrize("cutoff", ["-1e3", "-inf", "-1.5e-3"])
+    @pytest.mark.parametrize("option", ["--cutoff", "--cut"])
+    def test_negative_cutoff(self, stream, capsys, option, cutoff):
+        fit = ["fit", "--input", stream, "--axis", "x", "--model", "linear"]
+        result = self.run(capsys, *fit, option, cutoff)
+        assert result == (2, "", "error: x axis: linear fit needs at least 2 samples, got 0\n")
+        assert self.run(capsys, *fit, f"--cutoff={cutoff}") == result
+
+    @pytest.mark.parametrize("region, expected", [
+        ("-10,0,640,480", (0, "69.000000,79.000000,20.000000,false\n", "")),
+        ("-10,-10,-5,-5", (3, "69.000000,79.000000,20.000000,true\n", "")),
+    ], ids=["inside", "outside"])
+    def test_negative_region(self, stream, capsys, region, expected):
+        predict = ["predict", "--input", stream, "--model", "linear"]
+        assert self.run(capsys, *predict, "--region", region) == expected
+        assert self.run(capsys, *predict, f"--region={region}") == expected
+
+    @pytest.mark.parametrize("value", ["--axis", "-h"])
+    def test_option_is_not_taken_for_a_value(self, stream, capsys, value):
+        code, out, err = self.run(capsys, "fit", "--input", stream, "--cutoff", value, "x")
+        assert (code, out) == (2, "")
+        assert err.endswith("error: argument --cutoff: expected one argument\n")
+
+
 def in_process(*argv):
     """``main(argv)`` in this process; a usage error's exit code as returned."""
     try:
@@ -501,9 +548,14 @@ class TestParserReuse:
 
 
 def test_start_up_imports_no_thread_pool():
+    # Neither the package nor the CLI loads these at start-up: dataclasses and
+    # typing (with inspect, which dataclasses pulls in) cost more to import
+    # than the rest of the package, and the thread pool is opt-in.
     src = Path(trackcast.__file__).resolve().parent.parent
-    result = subprocess.run(
-        [sys.executable, "-S", "-c",
-         "import trackcast.cli, sys; print('concurrent.futures' in sys.modules)"],
-        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
-    assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
+    heavy = ["dataclasses", "typing", "inspect", "concurrent.futures"]
+    for module in ("trackcast", "trackcast.cli"):
+        result = subprocess.run(
+            [sys.executable, "-S", "-c",
+             f"import {module}, sys; print([m for m in {heavy!r} if m in sys.modules])"],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", ""), module

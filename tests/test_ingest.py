@@ -1,23 +1,40 @@
+import copy
 import json
+import pickle
 import random
 
 import pytest
 
 from trackcast import (
+    EXPONENTIAL,
+    LINEAR,
     Axis,
+    AxisSeries,
     DetectionRecord,
     EndpointObservation,
+    ErrorReport,
+    FitResult,
+    LinearFit,
+    ModelFamily,
+    ModelKind,
     OrderingError,
     ParseError,
+    PredictedEndpoint,
+    Region,
     StreamFormat,
+    SyntheticSpec,
     ValidationError,
+    WindowConfig,
     build_series,
+    fit_model,
     parse_detections,
     render_detections,
     select_per_frame,
     to_observation,
+    window,
 )
 from trackcast import ingest
+from trackcast.svgplot import Panel
 from trackcast.ingest import CSV_HEADER
 
 JSONL_LINE = (
@@ -414,3 +431,85 @@ class TestRecordContract:
             # min keeps the first of fully tied records, as select_per_frame does
             expected.append(min(group, key=lambda r: (-r.confidence, r.left, r.top)))
         assert select_per_frame(records) == expected
+
+
+# The value types whose constructors check their fields.
+CHECKED_VALUES = (ModelKind(ModelFamily.POLYNOMIAL, 2), Region(0.0, 1.0, 0.0, 1.0),
+                  WindowConfig(), SyntheticSpec(0.01, 2.0, 0.01, 2.0))
+VALUES = (*CHECKED_VALUES, LinearFit(1.0, 2.0), FitResult(LINEAR, 1.0, 2.0, (), 3),
+          PredictedEndpoint(60.0, 1.0, 2.0, False),
+          ErrorReport(LINEAR, 1.0, 2.0, 60.0, (1.0, 2.0), (1.0, 2.0)),
+          Panel("x", ((0.0, 1.0),), (), (1.0, 2.0)), EndpointObservation(1.0, 2.0, 3.0))
+
+
+class TestValueTypes:
+    """The value types are named tuples: none takes assignment or has a
+    per-instance ``__dict__``, and each equals and hashes as a plain tuple."""
+
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+    def test_fields_refuse_assignment(self, value):
+        with pytest.raises(AttributeError):
+            setattr(value, value._fields[0], None)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert not hasattr(value, "__dict__")
+        assert value == tuple(value) and hash(value) == hash(tuple(value))
+
+    @pytest.mark.parametrize("field, bad, message", [
+        ("family", ModelFamily.LINEAR, "linear takes no degree"),  # with degree 2
+        ("degree", 0, "polynomial degree must be >= 1"),
+        ("x_max", -1.0, "region requires x_min < x_max and y_min < y_max, "
+                        "got [0.0, -1.0] x [0.0, 1.0]"),
+        ("horizon", 0, "horizon must be >= 1, got 0"),
+        ("horizon", 10**400, "horizon is beyond the float range"),
+        ("length", 1, "window length must be >= 2, got 1"),
+        ("n_frames", 0, "n_frames must be >= 1, got 0"),
+        ("shake_prob", 1.5, "shake_prob must be in [0, 1], got 1.5"),
+        ("seed", -1, "seed must be an unsigned 64-bit integer"),
+        ("seed", 2**64, "seed must be an unsigned 64-bit integer"),
+    ], ids=["kind_family", "kind_degree", "region", "window_horizon", "window_horizon_huge",
+            "window_length", "spec_frames", "spec_shake_prob", "spec_seed_negative",
+            "spec_seed_64_bits"])
+    def test_replace_checks_like_the_constructor(self, field, bad, message):
+        value = next(v for v in CHECKED_VALUES if field in v._fields)
+        with pytest.raises(ValidationError) as by_replace:
+            value._replace(**{field: bad})
+        with pytest.raises(ValidationError) as by_constructor:
+            type(value)(**{**value._asdict(), field: bad})
+        assert str(by_replace.value) == str(by_constructor.value) == message
+        same = value._replace(**{field: getattr(value, field)})
+        assert type(same) is type(value) and same == value
+
+
+class TestAxisSeriesContract:
+    SAMPLES = ((0.0, 1.0), (1.0, 2.5))
+
+    def test_fields_refuse_assignment(self):
+        series = AxisSeries(Axis.X, self.SAMPLES)
+        for field in ("axis", "samples"):
+            with pytest.raises(AttributeError):
+                setattr(series, field, None)
+            with pytest.raises(AttributeError):
+                delattr(series, field)
+        with pytest.raises(AttributeError):
+            series.extra = 1
+        assert not hasattr(series, "__dict__")
+
+    def test_equality_hash_and_repr_see_axis_and_samples_only(self):
+        series = AxisSeries(Axis.X, self.SAMPLES)
+        assert repr(series) == "AxisSeries(axis=<Axis.X: 'x'>, samples=((0.0, 1.0), (1.0, 2.5)))"
+        assert hash(series) == hash((Axis.X, self.SAMPLES))
+        fit_model(window(series, WindowConfig(), 5.0), EXPONENTIAL)  # fills the memos
+        twin = AxisSeries._ordered(Axis.X, self.SAMPLES)
+        assert series == twin and hash(series) == hash(twin) and repr(series) == repr(twin)
+        assert series != AxisSeries(Axis.Y, self.SAMPLES)
+        assert series != AxisSeries(Axis.X, self.SAMPLES[:1])
+        assert series != (Axis.X, self.SAMPLES)
+
+    def test_copies_and_pickles(self):
+        series = AxisSeries(Axis.X, self.SAMPLES)
+        window(series, WindowConfig(), 5.0)
+        for copied in (copy.copy(series), copy.deepcopy(series),
+                       pickle.loads(pickle.dumps(series))):
+            assert type(copied) is AxisSeries and copied == series
+            assert copied._window is None  # a memo is not copied
