@@ -14,6 +14,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from enum import Enum
 from json.scanner import make_scanner
+from operator import le
 
 from .errors import OrderingError, ParseError, ValidationError
 
@@ -83,14 +84,7 @@ class AxisSeries:
     __slots__ = ("axis", "samples", "_window", "_log_line", "_log_line_clamped")
 
     def __init__(self, axis: Axis, samples: tuple[tuple[float, float], ...]) -> None:
-        prev = None
-        for t, _ in samples:
-            if prev is not None and t <= prev:
-                raise OrderingError(
-                    f"{axis.value} series t values must be strictly increasing "
-                    f"(t={t!r} after t={prev!r})"
-                )
-            prev = t
+        _require_increasing(axis, [t for t, _ in samples])
         _fill(self, axis, samples)
 
     @classmethod
@@ -122,6 +116,19 @@ class AxisSeries:
 
     def __reduce__(self):  # copy and pickle rebuild the fields; the memos start empty
         return self.__class__, (self.axis, self.samples)
+
+
+def _require_increasing(axis: Axis, ts: Sequence[float]) -> None:
+    """Raise OrderingError at the first t that is not above the one before it.
+    The test runs at C speed; the loop only names the pair. A NaN on either
+    side of ``t <= prev`` passes, as it always has."""
+    if any(map(le, ts[1:], ts)):
+        for prev, t in zip(ts, ts[1:]):
+            if t <= prev:
+                raise OrderingError(
+                    f"{axis.value} series t values must be strictly increasing "
+                    f"(t={t!r} after t={prev!r})"
+                )
 
 
 def _fill(series: AxisSeries, axis: Axis, samples: tuple[tuple[float, float], ...]) -> None:
@@ -166,23 +173,22 @@ def _require_numbers(values: Sequence, line_no: int) -> Sequence:
 
 
 # json.loads without its per-call Python layers: the same C scanner, run on
-# one line from its first character.
+# each line from its first character. A line is taken from it only when the
+# scanner reads it whole, up to trailing JSON whitespace; any other line
+# (leading whitespace, a BOM, extra data, an error) goes through json.loads,
+# so that it decodes or fails exactly as json.loads(line) does.
 _scan_json = make_scanner(json.JSONDecoder())
 _JSON_WHITESPACE = " \t\n\r"
+_INF = float("inf")
 
 
-def _decode_json_line(line: str):
-    """The value of one JSON line, exactly as ``json.loads`` gives it. Only a
-    line that the scanner reads whole, up to trailing JSON whitespace, takes
-    the fast path; anything else (leading whitespace, a BOM, extra data, an
-    error) goes through ``json.loads`` so that it raises the same error."""
+def _load_json_line(line: str, line_no: int):
     try:
-        obj, end = _scan_json(line, 0)
-    except (StopIteration, ValueError, RecursionError):
         return json.loads(line)
-    if line[end:].lstrip(_JSON_WHITESPACE):
-        return json.loads(line)
-    return obj
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
+    except (ValueError, RecursionError) as exc:  # integer too long, nesting too deep
+        raise ParseError(f"line {line_no}: invalid JSON ({exc})") from None
 
 
 def _parse_jsonl(text: str) -> list[DetectionRecord]:
@@ -190,34 +196,60 @@ def _parse_jsonl(text: str) -> list[DetectionRecord]:
     # at U+2028, U+2029 and U+0085, which JSON allows raw inside a string.
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
+    scan, new, record_class, inf = _scan_json, tuple.__new__, DetectionRecord, _INF
     records = []
+    append = records.append
     for line_no, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
         try:
-            obj = _decode_json_line(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
-        except (ValueError, RecursionError) as exc:  # integer too long, nesting too deep
-            raise ParseError(f"line {line_no}: invalid JSON ({exc})") from None
-        if not isinstance(obj, dict):
-            raise ParseError(f"line {line_no}: expected a JSON object")
-        try:  # looked up in this order, so the first missing key is named
+            obj, end = scan(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            if not line.strip():  # a blank line never starts a JSON value
+                continue
+            obj = _load_json_line(line, line_no)
+        else:
+            if end != len(line) and line[end:].lstrip(_JSON_WHITESPACE):
+                obj = _load_json_line(line, line_no)
+        # One test admits the common shape: exact floats, a str label and every
+        # invariant met. Any other value goes to _json_record, which checks it
+        # field by field and alone raises, so each message and its precedence
+        # stay those of the field-by-field check.
+        try:
             frame, left, top, width, height = (
                 obj["frame"], obj["left"], obj["top"], obj["width"], obj["height"])
-        except KeyError as exc:
-            raise ParseError(f"line {line_no}: missing key '{exc.args[0]}'") from None
-        if type(frame) is not int:  # JSON decodes no int subclass but bool
-            raise ParseError(f"line {line_no}: value for 'frame' must be an integer")
-        confidence = obj.get("confidence", 1.0)
-        _require_numbers((left, top, width, height, confidence), line_no)
-        label = obj.get("label", "")
-        if not isinstance(label, str):
-            raise ParseError(f"line {line_no}: value for 'label' must be a string")
-        records.append(
-            _build_record(frame, left, top, width, height, confidence, label, line_no)
-        )
+        except (KeyError, TypeError):
+            pass
+        else:
+            confidence = obj.get("confidence", 1.0)
+            label = obj.get("label", "")
+            if (type(frame) is int and 0 <= frame <= MAX_FRAME
+                    and type(left) is type(top) is type(width) is type(height)
+                    is type(confidence) is float and type(label) is str
+                    and left - left == 0.0 and top - top == 0.0
+                    and 0.0 < width < inf and 0.0 < height < inf
+                    and 0.0 <= confidence <= 1.0):
+                append(new(record_class, (frame, left, top, width, height, confidence, label)))
+                continue
+        append(_json_record(obj, line_no))
     return records
+
+
+def _json_record(obj, line_no: int) -> DetectionRecord:
+    """The record of one decoded JSON line, each field checked in turn."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"line {line_no}: expected a JSON object")
+    try:  # looked up in this order, so the first missing key is named
+        frame, left, top, width, height = (
+            obj["frame"], obj["left"], obj["top"], obj["width"], obj["height"])
+    except KeyError as exc:
+        raise ParseError(f"line {line_no}: missing key '{exc.args[0]}'") from None
+    if type(frame) is not int:  # JSON decodes no int subclass but bool
+        raise ParseError(f"line {line_no}: value for 'frame' must be an integer")
+    confidence = obj.get("confidence", 1.0)
+    _require_numbers((left, top, width, height, confidence), line_no)
+    label = obj.get("label", "")
+    if not isinstance(label, str):
+        raise ParseError(f"line {line_no}: value for 'label' must be a string")
+    return _build_record(frame, left, top, width, height, confidence, label, line_no)
 
 
 def _parse_csv(text: str) -> list[DetectionRecord]:
@@ -235,30 +267,47 @@ def _read_csv(reader) -> list[DetectionRecord]:
         raise ParseError("line 1: missing CSV header") from None
     if header != CSV_HEADER:
         raise ParseError(f"line 1: CSV header must be exactly '{','.join(CSV_HEADER)}'")
+    new, record_class, inf = tuple.__new__, DetectionRecord, _INF
     records = []
+    append = records.append
     for row in reader:
-        line_no = reader.line_num
-        if not row:
-            continue
-        if len(row) != len(CSV_HEADER):
-            raise ParseError(
-                f"line {line_no}: expected {len(CSV_HEADER)} fields, got {len(row)}"
-            )
+        # One test admits the common shape, as in _parse_jsonl; any other row
+        # goes to _csv_record, which checks it field by field and alone raises.
         try:
-            frame = int(row[0])
+            frame, left, top, width, height, confidence, label = row
+            frame = int(frame)
+            left, top, width, height = float(left), float(top), float(width), float(height)
+            confidence = float(confidence) if confidence else 1.0
         except ValueError:
-            raise ParseError(f"line {line_no}: value for 'frame' must be an integer") from None
-        confidence = row[5] or "1.0"
-        try:
-            numbers = (float(row[1]), float(row[2]), float(row[3]), float(row[4]),
-                       float(confidence))
-        except ValueError:
-            numbers = [_csv_number(cell) for cell in (*row[1:5], confidence)]
-        left, top, width, height, confidence = _require_numbers(numbers, line_no)
-        records.append(
-            _build_record(frame, left, top, width, height, confidence, row[6], line_no)
-        )
+            pass
+        else:
+            if (0 <= frame <= MAX_FRAME
+                    and left - left == 0.0 and top - top == 0.0
+                    and 0.0 < width < inf and 0.0 < height < inf
+                    and 0.0 <= confidence <= 1.0):
+                append(new(record_class, (frame, left, top, width, height, confidence, label)))
+                continue
+        if row:
+            append(_csv_record(row, reader.line_num))
     return records
+
+
+def _csv_record(row: list[str], line_no: int) -> DetectionRecord:
+    """The record of one non-empty CSV row, each field checked in turn."""
+    if len(row) != len(CSV_HEADER):
+        raise ParseError(f"line {line_no}: expected {len(CSV_HEADER)} fields, got {len(row)}")
+    try:
+        frame = int(row[0])
+    except ValueError:
+        raise ParseError(f"line {line_no}: value for 'frame' must be an integer") from None
+    confidence = row[5] or "1.0"
+    try:
+        numbers = (float(row[1]), float(row[2]), float(row[3]), float(row[4]),
+                   float(confidence))
+    except ValueError:
+        numbers = [_csv_number(cell) for cell in (*row[1:5], confidence)]
+    left, top, width, height, confidence = _require_numbers(numbers, line_no)
+    return _build_record(frame, left, top, width, height, confidence, row[6], line_no)
 
 
 def _build_record(frame, left, top, width, height, confidence, label, line_no) -> DetectionRecord:
@@ -331,10 +380,22 @@ def select_per_frame(records: list[DetectionRecord]) -> list[DetectionRecord]:
     """Keep one record per frame: highest confidence, ties broken by
     smallest left, then smallest top. Output sorted by frame index."""
     best: dict[int, DetectionRecord] = {}
+    keep = best.setdefault
     for r in records:
-        cur = best.get(r.frame_index)
-        if cur is None or (-r.confidence, r.left, r.top) < (-cur.confidence, cur.left, cur.top):
-            best[r.frame_index] = r
+        cur = keep(r[0], r)
+        if cur is r:
+            continue
+        # (-confidence, left, top) compared as tuples compare, without building
+        # them: the first field that differs decides, and a field holding the
+        # same object in both records counts as equal, as in a tuple.
+        if r[5] != cur[5]:
+            wins = r[5] > cur[5]
+        elif not (r[1] is cur[1] or r[1] == cur[1]):
+            wins = r[1] < cur[1]
+        else:
+            wins = r[2] < cur[2]
+        if wins:
+            best[r[0]] = r
     return [best[frame] for frame in sorted(best)]
 
 
@@ -350,4 +411,6 @@ def to_observation(record: DetectionRecord) -> EndpointObservation:
 def build_series(observations: list[EndpointObservation]) -> tuple[AxisSeries, AxisSeries]:
     """Split observations into an X series of (t, x) and a Y series of (t, y)."""
     ts, xs, ys = zip(*observations) if observations else ((), (), ())
-    return AxisSeries(Axis.X, tuple(zip(ts, xs))), AxisSeries(Axis.Y, tuple(zip(ts, ys)))
+    _require_increasing(Axis.X, ts)  # the t column both series share, checked once
+    return (AxisSeries._ordered(Axis.X, tuple(zip(ts, xs))),
+            AxisSeries._ordered(Axis.Y, tuple(zip(ts, ys))))

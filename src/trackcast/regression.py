@@ -41,14 +41,6 @@ class ModelFamily(Enum):
     POLYNOMIAL = "poly"
 
 
-# The constant term each exponential-family variant adds to exp(a*t + b).
-EXPONENTIAL_CORRECTIONS = {
-    ModelFamily.EXPONENTIAL: lambda a: 0.0,
-    ModelFamily.SIN_EXPONENTIAL: math.sin,
-    ModelFamily.COS_EXPONENTIAL: math.cos,
-}
-
-
 class ModelKind(namedtuple("ModelKind", "family degree")):
     """A model selector: family plus degree for the polynomial baseline."""
 
@@ -116,10 +108,19 @@ def fit_linear(pairs: Sequence[tuple[float, float]]) -> LinearFit:
     t0 = pairs[0][0]
     if all(t == t0 for t, _ in pairs):
         raise DegenerateAbscissaError("all t values are equal; cannot fit a slope")
-    t_mean = sum(t for t, _ in pairs) / n
-    v_mean = sum(v for _, v in pairs) / n
-    s_tt = sum((t - t_mean) ** 2 for t, _ in pairs)
-    s_tv = sum((t - t_mean) * (v - v_mean) for t, v in pairs)
+    # Plain left-to-right sums, as the builtin sum() gives them before
+    # CPython 3.12, which compensates float sums: the same bits on every version.
+    st = sv = 0.0
+    for t, v in pairs:
+        st += t
+        sv += v
+    t_mean = st / n
+    v_mean = sv / n
+    s_tt = s_tv = 0.0
+    for t, v in pairs:
+        d = t - t_mean
+        s_tt += d ** 2
+        s_tv += d * (v - v_mean)
     if s_tt == 0.0:
         raise DegenerateAbscissaError("t values are numerically indistinguishable")
     slope = s_tv / s_tt
@@ -147,12 +148,12 @@ def fit_model(series: AxisSeries, kind: ModelKind, clamp_nonpositive: bool = Fal
     if kind.family is ModelFamily.LINEAR:
         line = fit_linear(samples)
         a, b = line.slope, line.intercept
-    elif kind.family in EXPONENTIAL_CORRECTIONS:
+    elif kind.family is ModelFamily.POLYNOMIAL:
+        coefficients = _fit_polynomial(samples, kind.degree)
+    else:
         line = _log_line(series, kind, clamp_nonpositive)
         a = line.slope
-        b = line.intercept - EXPONENTIAL_CORRECTIONS[kind.family](a)
-    else:
-        coefficients = _fit_polynomial(samples, kind.degree)
+        b = line.intercept - _correction(kind.family, a)
     return FitResult(kind=kind, a=a, b=b, coefficients=coefficients, n_points=len(samples))
 
 
@@ -238,18 +239,29 @@ def _solve_guarded(matrix: list[list[float]], rhs: list[float]) -> list[float]:
     return out
 
 
+def _correction(family: ModelFamily, a: float) -> float:
+    """The constant term an exponential-family variant adds to exp(a*t + b).
+    Identity tests, not a dict keyed by the family, whose lookups would
+    call the Python-level Enum.__hash__."""
+    if family is ModelFamily.SIN_EXPONENTIAL:
+        return math.sin(a)
+    if family is ModelFamily.COS_EXPONENTIAL:
+        return math.cos(a)
+    return 0.0
+
+
 def predict(fit: FitResult, t: float) -> float:
     """Evaluate the fitted model at time t; pure composition, no re-fitting."""
     family, a, b = fit.kind.family, fit.a, fit.b
     try:
         if family is ModelFamily.LINEAR:
             value = a * t + b
-        elif family in EXPONENTIAL_CORRECTIONS:
-            value = math.exp(a * t + b) + EXPONENTIAL_CORRECTIONS[family](a)
-        else:
+        elif family is ModelFamily.POLYNOMIAL:
             value = 0.0
             for coeff in reversed(fit.coefficients):
                 value = value * t + coeff
+        else:
+            value = math.exp(a * t + b) + _correction(family, a)
     except OverflowError:
         raise PredictionRangeError(f"{fit.kind.label} prediction overflows at t={t!r}") from None
     if not math.isfinite(value):

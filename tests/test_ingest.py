@@ -1,4 +1,5 @@
 import copy
+import math
 import json
 import pickle
 import random
@@ -156,7 +157,11 @@ class TestJsonLineDecoder:
             assert got == (ParseError, f"line 1: invalid JSON ({exc.msg})")
         except (ValueError, RecursionError) as exc:
             assert got == (ParseError, f"line 1: invalid JSON ({exc})")
-        monkeypatch.setattr(ingest, "_decode_json_line", json.loads)
+        # A scanner that never reads a value sends every line through json.loads.
+        def no_scan(text, idx):
+            raise StopIteration(idx)
+
+        monkeypatch.setattr(ingest, "_scan_json", no_scan)
         assert got == parse_outcome(line)
 
     def test_accepted_lines_give_the_decoded_record(self):
@@ -513,3 +518,168 @@ class TestAxisSeriesContract:
                        pickle.loads(pickle.dumps(series))):
             assert type(copied) is AxisSeries and copied == series
             assert copied._window is None  # a memo is not copied
+
+
+# Hostile values for one field of an otherwise plain record, as written in a
+# JSON line and in a CSV cell; None leaves the key out (JSONL) or the cell
+# empty (CSV).
+HOSTILE_NUMBERS = {
+    "true": ("true", "true"),
+    "int": ("5", "5"),
+    "digits_401": ("1" + "0" * 400, "1" + "0" * 400),
+    "nan": ("NaN", "nan"),
+    "inf": ("Infinity", "inf"),
+    "minus_inf": ("-Infinity", "-inf"),
+    "minus_zero": ("-0.0", "-0.0"),
+    "zero": ("0.0", "0.0"),
+    "just_above_one": ("1.0000000000000002", "1.0000000000000002"),
+    "missing": (None, None),
+}
+HOSTILE_FRAMES = {"minus_one": "-1", "two_53": str(2**53), "two_53_plus_1": str(2**53 + 1),
+                  "float": "3.0", "true": "true"}
+PLAIN_FIELDS = {"frame": "3", "left": "10.5", "top": "20.25", "width": "4.0",
+                "height": "6.0", "confidence": "0.9", "label": '"tip"'}
+HOSTILE_CASES = {
+    **{f"{field}-{name}": (field, value)
+       for field in ("left", "top", "width", "height", "confidence")
+       for name, value in HOSTILE_NUMBERS.items()},
+    **{f"frame-{name}": ("frame", (value, value)) for name, value in HOSTILE_FRAMES.items()},
+    "label-int": ("label", ("5", "5")),
+    "label-missing": ("label", (None, None)),
+    "plain": ("label", ('"tip"', "tip")),
+}
+
+
+def hostile_streams(field, value):
+    json_value, csv_value = value
+    fields = dict(PLAIN_FIELDS)
+    fields[field] = json_value
+    line = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items() if v is not None) + "}"
+    cells = {k: v.strip('"') for k, v in PLAIN_FIELDS.items()}
+    cells[field] = "" if csv_value is None else csv_value
+    row = [cells[k] for k in CSV_HEADER]
+    return line, row
+
+
+def outcome(parse, *args):
+    try:
+        return parse(*args)
+    except (ParseError, ValidationError, OrderingError) as exc:
+        return type(exc), str(exc)
+
+
+class TestFusedAdmission:
+    """Each record that the fused test admits equals the record of the
+    field-by-field path, and each record it turns away gets that path's
+    outcome: the same record, or the same error type and message."""
+
+    @pytest.mark.parametrize("field, value", HOSTILE_CASES.values(), ids=HOSTILE_CASES.keys())
+    def test_same_as_field_by_field(self, field, value, monkeypatch):
+        line, row = hostile_streams(field, value)
+        expected = {
+            StreamFormat.JSONL: outcome(lambda: [ingest._json_record(json.loads(line), 1)]),
+            StreamFormat.CSV: outcome(lambda: [ingest._csv_record(row, 2)]),
+        }
+        slow = []
+        for name in ("_json_record", "_csv_record"):
+            checked = getattr(ingest, name)
+            monkeypatch.setattr(ingest, name,
+                                lambda *args, checked=checked: slow.append(1) or checked(*args))
+        text = {StreamFormat.JSONL: line + "\n",
+                StreamFormat.CSV: ",".join(CSV_HEADER) + "\n" + ",".join(row) + "\n"}
+        for fmt in StreamFormat:
+            del slow[:]
+            got = outcome(parse_detections, text[fmt], fmt)
+            assert got == expected[fmt]
+            # Only a valid record of exact floats and a str label takes the fused path.
+            fused = isinstance(got, list) and all(type(x) is float for x in got[0][1:6])
+            assert (not slow) == fused
+            if isinstance(got, list):
+                assert [type(x) for x in got[0]] == [type(x) for x in expected[fmt][0]]
+
+    def test_fused_path_is_taken_for_the_plain_record(self):
+        line, row = hostile_streams(*HOSTILE_CASES["confidence-minus_zero"])
+        (record,) = parse_detections(line, StreamFormat.JSONL)
+        assert record == (3, 10.5, 20.25, 4.0, 6.0, -0.0, "tip")
+        assert math.copysign(1.0, record.confidence) == -1.0
+        assert parse_detections(",".join(CSV_HEADER) + "\n" + ",".join(row),
+                                StreamFormat.CSV) == [record]
+
+    def test_blank_lines_skipped_and_counted(self):
+        line, _ = hostile_streams(*HOSTILE_CASES["plain"])
+        text = f"\n  \t\n{line}\n\x0c\n \n{{bad\n"
+        assert outcome(parse_detections, text, StreamFormat.JSONL) == (
+            ParseError, "line 6: invalid JSON (Expecting property name enclosed in double quotes)")
+        assert len(parse_detections(text.split("{bad")[0], StreamFormat.JSONL)) == 1
+
+
+def ordering_reference(axis, samples):
+    """The per-pair check AxisSeries made before it tested at C speed."""
+    prev = None
+    for t, _ in samples:
+        if prev is not None and t <= prev:
+            return OrderingError, (f"{axis.value} series t values must be strictly increasing "
+                                   f"(t={t!r} after t={prev!r})")
+        prev = t
+    return None
+
+
+NAN = float("nan")
+
+
+class TestOrderingCheck:
+    @pytest.mark.parametrize("ts", [
+        (), (5.0,), (0.0, 1.0, 2.0), (0.0, 1.0, 1.0), (0.0, 2.0, 1.0, 0.5), (3.0, 2.0),
+        (0.0, NAN, 1.0), (1.0, NAN, 0.5), (NAN, NAN), (NAN, 0.0, 0.0), (-0.0, 0.0),
+        (0.0, 1.0, 2.0, 2.0, 1.0),
+    ], ids=["empty", "one", "increasing", "equal", "decreasing", "two_decreasing",
+            "nan_between", "nan_then_lower", "nan_twice", "nan_then_equal", "signed_zeros",
+            "first_of_two_faults"])
+    def test_same_outcome_as_per_pair_check(self, ts):
+        samples = tuple((t, float(i)) for i, t in enumerate(ts))
+        for axis in Axis:
+            expected = ordering_reference(axis, samples)
+            got = outcome(lambda: AxisSeries(axis, samples))
+            if expected is None:
+                assert got.samples == samples
+            else:
+                assert got == expected
+        observations = [EndpointObservation(t, float(i), -float(i)) for i, t in enumerate(ts)]
+        built = outcome(build_series, observations)
+        expected = ordering_reference(Axis.X, samples)  # the shared t column names x
+        if expected is None:
+            xs, ys = built
+            assert (xs.axis, ys.axis) == (Axis.X, Axis.Y)
+            assert xs.samples == samples
+            assert ys.samples == tuple((t, -float(i)) for i, t in enumerate(ts))
+        else:
+            assert built == expected
+
+    def test_build_series_of_nothing(self):
+        xs, ys = build_series([])
+        assert xs == AxisSeries(Axis.X, ()) and ys == AxisSeries(Axis.Y, ())
+
+
+def select_reference(records):
+    """select_per_frame as it compared before: (-confidence, left, top) tuples."""
+    best = {}
+    for r in records:
+        cur = best.get(r.frame_index)
+        if cur is None or (-r.confidence, r.left, r.top) < (-cur.confidence, cur.left, cur.top):
+            best[r.frame_index] = r
+    return [best[frame] for frame in sorted(best)]
+
+
+def test_select_matches_tuple_comparison_on_odd_values():
+    # A record built in code may carry a NaN or signed zero in left or top;
+    # one NaN object shared by two records counts as equal, as in a tuple.
+    rng = random.Random(11)
+    shared_nan = float("nan")
+    pool = [0.0, -0.0, 1.0, 2.0, shared_nan, float("nan"), 5]
+    records = [
+        DetectionRecord(rng.randrange(6), rng.choice(pool), rng.choice(pool), 1.0, 1.0,
+                        rng.choice([0.5, 0.9, 1, 0.0, -0.0]), label=str(i))
+        for i in range(3000)
+    ]
+    assert [r.label for r in select_per_frame(records)] == \
+        [r.label for r in select_reference(records)]

@@ -96,6 +96,21 @@ class TestFitLinear:
         with pytest.raises(DegenerateAbscissaError):
             fit_linear([(3.0, 1.0), (3.0, 2.0), (3.0, 5.0)])
 
+    @pytest.mark.parametrize(
+        "values,slope,intercept",
+        [
+            ([0.1] * 10, "0x0.0p+0", "0x1.9999999999999p-4"),
+            ([0.1, 0.2, 0.3] * 3 + [0.1], "0x1.dca01dca01dcbp-10", "0x1.745d1745d1747p-3"),
+        ],
+        ids=["ten_tenths", "tenths_cycle"],
+    )
+    def test_plain_summation_on_every_version(self, values, slope, intercept):
+        # The builtin sum() compensates float sums from CPython 3.12 on and
+        # would give other bits here (intercept 0x1.999999999999ap-4 for the
+        # ten tenths); the fit sums left to right on every version.
+        fit = fit_linear([(float(t), v) for t, v in enumerate(values)])
+        assert (fit.slope.hex(), fit.intercept.hex()) == (slope, intercept)
+
 
 class TestFitModel:
     def test_constant_series_sinexp(self):
