@@ -152,26 +152,6 @@ def read_text(data: str | bytes | io.IOBase) -> str:
     return data
 
 
-def _require_numbers(values: Sequence, line_no: int) -> Sequence:
-    """Left, top, width, height and confidence as decoded from a JSON line or
-    a CSV row; each must be a finite number."""
-    for key, value in zip(_NUMBER_KEYS, values):
-        kind = type(value)
-        if kind is float:
-            if value - value == 0.0:  # nan and +-inf give nan
-                continue
-        elif kind is int:  # bool is not a number here
-            try:
-                float(value)
-                continue
-            except OverflowError:  # an integer beyond the float range
-                pass
-        else:
-            raise ParseError(f"line {line_no}: value for '{key}' must be a number")
-        raise ParseError(f"line {line_no}: value for '{key}' must be finite")
-    return values
-
-
 # json.loads without its per-call Python layers: the same C scanner, run on
 # each line from its first character. A line is taken from it only when the
 # scanner reads it whole, up to trailing JSON whitespace; any other line
@@ -202,13 +182,12 @@ def _parse_jsonl(text: str) -> list[DetectionRecord]:
     for line_no, line in enumerate(text.split("\n"), start=1):
         try:
             obj, end = scan(line, 0)
+            if end != len(line) and line[end:].lstrip(_JSON_WHITESPACE):
+                raise ValueError("extra data")  # json.loads names it
         except (StopIteration, ValueError, RecursionError):
             if not line.strip():  # a blank line never starts a JSON value
                 continue
             obj = _load_json_line(line, line_no)
-        else:
-            if end != len(line) and line[end:].lstrip(_JSON_WHITESPACE):
-                obj = _load_json_line(line, line_no)
         # One test admits the common shape: exact floats, a str label and every
         # invariant met. Any other value goes to _json_record, which checks it
         # field by field and alone raises, so each message and its precedence
@@ -242,14 +221,8 @@ def _json_record(obj, line_no: int) -> DetectionRecord:
             obj["frame"], obj["left"], obj["top"], obj["width"], obj["height"])
     except KeyError as exc:
         raise ParseError(f"line {line_no}: missing key '{exc.args[0]}'") from None
-    if type(frame) is not int:  # JSON decodes no int subclass but bool
-        raise ParseError(f"line {line_no}: value for 'frame' must be an integer")
-    confidence = obj.get("confidence", 1.0)
-    _require_numbers((left, top, width, height, confidence), line_no)
-    label = obj.get("label", "")
-    if not isinstance(label, str):
-        raise ParseError(f"line {line_no}: value for 'label' must be a string")
-    return _build_record(frame, left, top, width, height, confidence, label, line_no)
+    return _checked_record(line_no, frame, left, top, width, height,
+                           obj.get("confidence", 1.0), obj.get("label", ""))
 
 
 def _parse_csv(text: str) -> list[DetectionRecord]:
@@ -296,34 +269,44 @@ def _csv_record(row: list[str], line_no: int) -> DetectionRecord:
     """The record of one non-empty CSV row, each field checked in turn."""
     if len(row) != len(CSV_HEADER):
         raise ParseError(f"line {line_no}: expected {len(CSV_HEADER)} fields, got {len(row)}")
-    try:
-        frame = int(row[0])
-    except ValueError:
-        raise ParseError(f"line {line_no}: value for 'frame' must be an integer") from None
-    confidence = row[5] or "1.0"
-    try:
-        numbers = (float(row[1]), float(row[2]), float(row[3]), float(row[4]),
-                   float(confidence))
-    except ValueError:
-        numbers = [_csv_number(cell) for cell in (*row[1:5], confidence)]
-    left, top, width, height, confidence = _require_numbers(numbers, line_no)
-    return _build_record(frame, left, top, width, height, confidence, row[6], line_no)
+    values = []
+    for convert, cell in zip((int, float, float, float, float, float),
+                             (*row[:5], row[5] or "1.0")):
+        try:
+            values.append(convert(cell))
+        except ValueError:  # the cell stays a str, which _checked_record reports
+            values.append(cell)
+    return _checked_record(line_no, *values, row[6])
 
 
-def _build_record(frame, left, top, width, height, confidence, label, line_no) -> DetectionRecord:
+def _checked_record(line_no: int, frame, left, top, width, height, confidence,
+                    label) -> DetectionRecord:
+    """The record of one JSON line or CSV row that the fused test turned away.
+    Both formats check their fields here alone, so a fault reads the same in
+    either: the frame's type, then each number's type and finiteness in
+    field order, then the label's type, then the record's invariants."""
+    if type(frame) is not int:  # JSON decodes no int subclass but bool
+        raise ParseError(f"line {line_no}: value for 'frame' must be an integer")
+    for key, value in zip(_NUMBER_KEYS, (left, top, width, height, confidence)):
+        kind = type(value)
+        if kind is float:
+            if value - value == 0.0:  # nan and +-inf give nan
+                continue
+        elif kind is int:  # bool is not a number here
+            try:
+                float(value)
+                continue
+            except OverflowError:  # an integer beyond the float range
+                pass
+        else:
+            raise ParseError(f"line {line_no}: value for '{key}' must be a number")
+        raise ParseError(f"line {line_no}: value for '{key}' must be finite")
+    if not isinstance(label, str):
+        raise ParseError(f"line {line_no}: value for 'label' must be a string")
     try:
         return DetectionRecord(frame, left, top, width, height, confidence, label)
     except ValidationError as exc:
         raise ValidationError(f"line {line_no}: {exc}") from None
-
-
-def _csv_number(cell: str):
-    """A cell as a float, or the cell itself, which ``_require_numbers``
-    reports as not a number."""
-    try:
-        return float(cell)
-    except ValueError:
-        return cell
 
 
 def parse_detections(data: str | bytes | io.IOBase, fmt: StreamFormat) -> list[DetectionRecord]:
@@ -340,7 +323,11 @@ def parse_detections(data: str | bytes | io.IOBase, fmt: StreamFormat) -> list[D
 
 
 def render_detections(records: Iterable[DetectionRecord], fmt: StreamFormat) -> str:
-    """Serialize records back to a stream; reparsing yields equal records."""
+    """Serialize records back to a stream. Reparsing it yields equal records
+    when every field is one the parser accepts: an int frame, finite numbers
+    and a str label. ``DetectionRecord`` checks only ranges, so a NaN or
+    infinite number or a bool frame renders to a stream the parser rejects,
+    and a non-str label reads back from CSV as a str."""
     if fmt is StreamFormat.JSONL:
         lines = []
         for r in records:

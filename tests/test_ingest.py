@@ -270,6 +270,37 @@ def test_round_trip_is_field_exact(fmt):
     assert render_detections(parse_detections(text, fmt), fmt) == text
 
 
+# Fields that DetectionRecord accepts, since it checks only ranges, but that
+# the parser refuses, with the error each rendered stream then gives.
+UNPARSABLE_FIELDS = {
+    "nan_left": ({"left": math.nan}, "value for 'left' must be finite"),
+    "inf_left": ({"left": math.inf}, "value for 'left' must be finite"),
+    "minus_inf_left": ({"left": -math.inf}, "value for 'left' must be finite"),
+    "inf_width": ({"width": math.inf}, "value for 'width' must be finite"),
+    "bool_frame": ({"frame_index": True}, "value for 'frame' must be an integer"),
+}
+
+
+@pytest.mark.parametrize("fmt", [StreamFormat.JSONL, StreamFormat.CSV])
+@pytest.mark.parametrize("fields, message", UNPARSABLE_FIELDS.values(),
+                         ids=UNPARSABLE_FIELDS.keys())
+def test_round_trip_refuses_what_the_parser_refuses(fmt, fields, message):
+    record = DetectionRecord(2, 1.0, 2.0, 3.0, 4.0, 0.5, "tip")._replace(**fields)
+    line_no = 1 if fmt is StreamFormat.JSONL else 2
+    assert outcome(parse_detections, render_detections([record], fmt), fmt) == (
+        ParseError, f"line {line_no}: {message}")
+
+
+def test_round_trip_of_an_int_label():
+    record = DetectionRecord(2, 1.0, 2.0, 3.0, 4.0, 0.5, 5)
+    jsonl = render_detections([record], StreamFormat.JSONL)
+    assert outcome(parse_detections, jsonl, StreamFormat.JSONL) == (
+        ParseError, "line 1: value for 'label' must be a string")
+    # CSV has no types: the label comes back as a str, and nothing reports it.
+    (back,) = parse_detections(render_detections([record], StreamFormat.CSV), StreamFormat.CSV)
+    assert back == record._replace(label="5") and back != record
+
+
 class TestSelectPerFrame:
     def test_highest_confidence_wins(self):
         low = DetectionRecord(3, 0, 0, 1, 1, 0.8)
@@ -611,6 +642,48 @@ class TestFusedAdmission:
         assert outcome(parse_detections, text, StreamFormat.JSONL) == (
             ParseError, "line 6: invalid JSON (Expecting property name enclosed in double quotes)")
         assert len(parse_detections(text.split("{bad")[0], StreamFormat.JSONL)) == 1
+
+
+# One table of field faults, each written as a JSON value and as a CSV cell,
+# and the error that both formats give after the "line N: " prefix.
+NOT_A_NUMBER = {"word": ('"abc"', "abc"), "bool": ("true", "true")}
+NOT_FINITE = {"nan": ("NaN", "nan"), "inf": ("Infinity", "inf"),
+              "minus_inf": ("-Infinity", "-inf"), "digits_401": ("1" + "0" * 400,) * 2}
+CROSS_FORMAT_FAULTS = {
+    **{f"{field}-{name}": ({field: value}, ParseError, f"value for '{field}' must be a number")
+       for field in ("left", "top", "width", "height", "confidence")
+       for name, value in NOT_A_NUMBER.items()},
+    **{f"{field}-{name}": ({field: value}, ParseError, f"value for '{field}' must be finite")
+       for field in ("left", "top", "width", "height", "confidence")
+       for name, value in NOT_FINITE.items()},
+    "frame-float": ({"frame": ("3.0", "3.0")}, ParseError, "value for 'frame' must be an integer"),
+    "frame-word": ({"frame": ('"x"', "x")}, ParseError, "value for 'frame' must be an integer"),
+    "frame-minus_one": ({"frame": ("-1", "-1")}, ValidationError, "invalid value for 'frame'"),
+    "frame-float_and_left-nan": ({"frame": ("3.0", "3.0"), "left": ("NaN", "nan")},
+                                 ParseError, "value for 'frame' must be an integer"),
+    "frame-minus_one_and_top-word": ({"frame": ("-1", "-1"), "top": ('"abc"', "abc")},
+                                     ParseError, "value for 'top' must be a number"),
+    "top-nan_and_left-word": ({"top": ("NaN", "nan"), "left": ('"abc"', "abc")},
+                              ParseError, "value for 'left' must be a number"),
+    "width-zero": ({"width": ("0", "0")}, ValidationError, "invalid value for 'width'"),
+    "confidence-1.5": ({"confidence": ("1.5", "1.5")}, ValidationError,
+                       "invalid value for 'confidence'"),
+    "width-zero_and_confidence-nan": ({"width": ("0", "0"), "confidence": ("NaN", "nan")},
+                                      ParseError, "value for 'confidence' must be finite"),
+}
+
+
+@pytest.mark.parametrize("faults, error, message", CROSS_FORMAT_FAULTS.values(),
+                         ids=CROSS_FORMAT_FAULTS.keys())
+def test_a_field_fault_reads_the_same_in_both_formats(faults, error, message):
+    fields = dict(PLAIN_FIELDS)
+    cells = {k: v.strip('"') for k, v in PLAIN_FIELDS.items()}
+    for field, (json_value, csv_value) in faults.items():
+        fields[field], cells[field] = json_value, csv_value
+    line = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}\n"
+    row = ",".join(CSV_HEADER) + "\n" + ",".join(cells[k] for k in CSV_HEADER) + "\n"
+    assert outcome(parse_detections, line, StreamFormat.JSONL) == (error, f"line 1: {message}")
+    assert outcome(parse_detections, row, StreamFormat.CSV) == (error, f"line 2: {message}")
 
 
 def ordering_reference(axis, samples):
