@@ -14,7 +14,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from enum import Enum
 from json.scanner import make_scanner
-from operator import le
+from operator import attrgetter, le
 
 from .errors import OrderingError, ParseError, ValidationError
 
@@ -78,30 +78,27 @@ class AxisSeries:
     be kept on it: ``trajectory.window`` keeps its last window in ``_window``
     and ``regression.fit_model`` its exponential-family line in
     ``_log_line`` or ``_log_line_clamped``. Equality, hashing and ``repr``
-    see only ``axis`` and ``samples``, which refuse assignment.
+    see only ``axis`` and ``samples``, which are read-only properties.
     """
 
-    __slots__ = ("axis", "samples", "_window", "_log_line", "_log_line_clamped")
+    __slots__ = ("_axis", "_samples", "_window", "_log_line", "_log_line_clamped")
+
+    axis = property(attrgetter("_axis"))
+    samples = property(attrgetter("_samples"))
 
     def __init__(self, axis: Axis, samples: tuple[tuple[float, float], ...]) -> None:
         _require_increasing(axis, [t for t, _ in samples])
-        _fill(self, axis, samples)
+        self._axis, self._samples = axis, samples
+        self._window = self._log_line = self._log_line_clamped = None
 
     @classmethod
     def _ordered(cls, axis: Axis, samples: tuple[tuple[float, float], ...]) -> "AxisSeries":
         """A series from samples already known to be strictly increasing in t,
         such as a slice of another series; the ordering check is skipped."""
         series = object.__new__(cls)
-        _fill(series, axis, samples)
+        series._axis, series._samples = axis, samples
+        series._window = series._log_line = series._log_line_clamped = None
         return series
-
-    def __setattr__(self, name: str, value) -> None:
-        if name == "axis" or name == "samples":
-            raise AttributeError(f"cannot assign to field {name!r}")
-        object.__setattr__(self, name, value)
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -129,15 +126,6 @@ def _require_increasing(axis: Axis, ts: Sequence[float]) -> None:
                     f"{axis.value} series t values must be strictly increasing "
                     f"(t={t!r} after t={prev!r})"
                 )
-
-
-def _fill(series: AxisSeries, axis: Axis, samples: tuple[tuple[float, float], ...]) -> None:
-    set_slot = object.__setattr__
-    set_slot(series, "axis", axis)
-    set_slot(series, "samples", samples)
-    set_slot(series, "_window", None)
-    set_slot(series, "_log_line", None)
-    set_slot(series, "_log_line_clamped", None)
 
 
 def read_text(data: str | bytes | io.IOBase) -> str:
@@ -329,37 +317,11 @@ def render_detections(records: Iterable[DetectionRecord], fmt: StreamFormat) -> 
     infinite number or a bool frame renders to a stream the parser rejects,
     and a non-str label reads back from CSV as a str."""
     if fmt is StreamFormat.JSONL:
-        lines = []
-        for r in records:
-            lines.append(
-                json.dumps(
-                    {
-                        "frame": r.frame_index,
-                        "left": r.left,
-                        "top": r.top,
-                        "width": r.width,
-                        "height": r.height,
-                        "confidence": r.confidence,
-                        "label": r.label,
-                    }
-                )
-            )
-        return "".join(line + "\n" for line in lines)
+        return "".join(json.dumps(dict(zip(CSV_HEADER, r))) + "\n" for r in records)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for r in records:
-        writer.writerow(
-            [
-                r.frame_index,
-                repr(r.left),
-                repr(r.top),
-                repr(r.width),
-                repr(r.height),
-                repr(r.confidence),
-                r.label,
-            ]
-        )
+    writer.writerows(records)  # a float is written as its repr()
     return out.getvalue()
 
 

@@ -23,7 +23,7 @@ from .errors import (
     PredictionRangeError,
     ValidationError,
 )
-from .ingest import AxisSeries
+from .ingest import MAX_FRAME, AxisSeries
 
 # Opt-in replacement for non-positive values under exponential-family fits.
 CLAMP_FLOOR = 1e-9
@@ -50,6 +50,8 @@ class ModelKind(namedtuple("ModelKind", "family degree")):
         if family is ModelFamily.POLYNOMIAL:
             if degree < 1:
                 raise ValidationError("polynomial degree must be >= 1")
+            if degree > MAX_FRAME:  # no stream holds the MAX_FRAME + 2 samples a fit needs
+                raise ValidationError(f"polynomial degree must be <= {MAX_FRAME}")
         elif degree != 0:
             raise ValidationError(f"{family.value} takes no degree")
         return tuple.__new__(cls, (family, degree))
@@ -78,7 +80,10 @@ class ModelKind(namedtuple("ModelKind", "family degree")):
         if token == "poly":
             return cls(ModelFamily.POLYNOMIAL, default_degree)
         if token.startswith("poly") and token[4:].isdigit():
-            return cls(ModelFamily.POLYNOMIAL, int(token[4:]))
+            try:  # int() refuses superscript digits and overlong digit runs
+                return cls(ModelFamily.POLYNOMIAL, int(token[4:]))
+            except ValueError:
+                pass
         raise ValidationError(f"unknown model '{token}'")
 
 

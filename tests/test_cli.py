@@ -421,6 +421,28 @@ class TestHostileInput:
         assert code == 2
         assert message in err
 
+    # A polyN token whose digits int() cannot read, or whose degree no stream
+    # can fit, is refused before any fit.
+    @pytest.mark.parametrize("token, message", [
+        ("poly²", "unknown model 'poly²'"),
+        ("poly" + "9" * 5000, "unknown model 'poly" + "9" * 5000 + "'"),
+        ("poly" + "9" * 4300, "polynomial degree must be <= 9007199254740992"),
+    ], ids=["superscript", "over_int_digit_limit", "degree_beyond_any_stream"])
+    @pytest.mark.parametrize("command", [
+        ["fit", "--axis", "x", "--model"],
+        ["predict", "--model"],
+        ["plot", "--model"],
+        ["compare", "--models"],
+    ], ids=["fit", "predict", "plot", "compare"])
+    def test_model_token(self, tmp_path, capsys, command, token, message):
+        path = tmp_path / "stream.jsonl"
+        path.write_text(jsonl_stream(lambda t: 10.0 + t, lambda t: 20.0, 10))
+        argv = [*command, token, "--input", str(path)]
+        if command[0] == "plot":
+            argv += ["--out", str(tmp_path / "fit.svg")]
+        code, err = self.run_main(capsys, *argv)
+        assert (code, err) == (2, f"error: {message}\n")
+
     def test_non_utf8_spec(self, tmp_path, capsys):
         spec = tmp_path / "bad.spec"
         spec.write_bytes(b"a_x = 0\nb_x = 1\na_y = 0\nb_y = 1\nn_frames = 5 # \xff\n")

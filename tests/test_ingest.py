@@ -270,6 +270,50 @@ def test_round_trip_is_field_exact(fmt):
     assert render_detections(parse_detections(text, fmt), fmt) == text
 
 
+# Records the renderer writes as they are, values the parser would refuse
+# included, with the exact text of each format.
+PINNED_RECORDS = [
+    DetectionRecord(0, -0.0, 1e-300, 0.1, 2.5, 0.0, "with,comma"),
+    DetectionRecord(1, 7, math.nan, 1.0, math.inf, 1.0, 'with"quote'),
+    DetectionRecord(True, -math.inf, math.inf, 3.0, 4.0, 0.5, "line\nfeed"),
+    DetectionRecord(3, 1.0, 2.0, 3.0, 4.0, 0.25, "crlf\r\nend"),
+    DetectionRecord(4, 1.0, 2.0, 3.0, 4.0, 1, ""),
+    DetectionRecord(5, 1.0, 2.0, 3.0, 4.0, 0.5, 5),
+]
+PINNED_TEXT = {
+    StreamFormat.JSONL: (
+        '{"frame": 0, "left": -0.0, "top": 1e-300, "width": 0.1, "height": 2.5, '
+        '"confidence": 0.0, "label": "with,comma"}\n'
+        '{"frame": 1, "left": 7, "top": NaN, "width": 1.0, "height": Infinity, '
+        '"confidence": 1.0, "label": "with\\"quote"}\n'
+        '{"frame": true, "left": -Infinity, "top": Infinity, "width": 3.0, "height": 4.0, '
+        '"confidence": 0.5, "label": "line\\nfeed"}\n'
+        '{"frame": 3, "left": 1.0, "top": 2.0, "width": 3.0, "height": 4.0, '
+        '"confidence": 0.25, "label": "crlf\\r\\nend"}\n'
+        '{"frame": 4, "left": 1.0, "top": 2.0, "width": 3.0, "height": 4.0, '
+        '"confidence": 1, "label": ""}\n'
+        '{"frame": 5, "left": 1.0, "top": 2.0, "width": 3.0, "height": 4.0, '
+        '"confidence": 0.5, "label": 5}\n'
+    ),
+    StreamFormat.CSV: (
+        "frame,left,top,width,height,confidence,label\n"
+        '0,-0.0,1e-300,0.1,2.5,0.0,"with,comma"\n'
+        '1,7,nan,1.0,inf,1.0,"with""quote"\n'
+        'True,-inf,inf,3.0,4.0,0.5,"line\nfeed"\n'
+        '3,1.0,2.0,3.0,4.0,0.25,"crlf\r\nend"\n'
+        "4,1.0,2.0,3.0,4.0,1,\n"
+        "5,1.0,2.0,3.0,4.0,0.5,5\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", [StreamFormat.JSONL, StreamFormat.CSV])
+def test_render_writes_pinned_text(fmt):
+    assert render_detections(PINNED_RECORDS, fmt) == PINNED_TEXT[fmt]
+    assert render_detections([], fmt) == ("" if fmt is StreamFormat.JSONL
+                                          else "frame,left,top,width,height,confidence,label\n")
+
+
 # Fields that DetectionRecord accepts, since it checks only ranges, but that
 # the parser refuses, with the error each rendered stream then gives.
 UNPARSABLE_FIELDS = {

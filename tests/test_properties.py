@@ -1,9 +1,10 @@
-"""Property tests: hostile documents through the in-process CLI.
+"""Property tests: hostile documents and option values through the in-process CLI.
 
 Whatever bytes arrive as a detection stream or a spec, ``cli.main`` returns
 0, 2 or 3, lets no exception escape, and writes nothing or one ``error:``
 line to stderr. The documents are random bytes and mutations of valid
-JSONL, CSV and spec documents. Examples are few and derandomized, so the
+JSONL, CSV and spec documents. Option values that argparse refuses exit 2
+with its usage text instead. Examples are few and derandomized, so the
 suite's time and outcome stay fixed.
 """
 
@@ -67,7 +68,10 @@ def run(argv) -> int:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    err = err.getvalue()
+    return checked(argv, code, err.getvalue())
+
+
+def checked(argv, code: int, err: str) -> int:
     assert code in (0, 2, 3), (argv, code, err)
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
@@ -138,3 +142,56 @@ def test_unmutated_documents_succeed(workdir):
     path = workdir / "valid.spec"
     path.write_bytes(SPEC)
     assert run(["simulate", "--spec", str(path), "--out", "-"]) == 0
+
+
+# Digits that str.isdigit() accepts: ASCII, other decimal digits (Unicode Nd),
+# which int() and float() read, and superscripts and the like (No), which they
+# refuse. A run is a digit and then one digit repeated, to lengths on both
+# sides of int()'s 4300-digit limit.
+DIGITS = ["0123456789", "٠٣۹०९０𝟘𝟛", "¹²³⁰⁹₀₉①⑨"]
+
+
+@st.composite
+def digit_runs(draw) -> str:
+    alphabet = draw(st.sampled_from(DIGITS))
+    lead, fill = draw(st.sampled_from(alphabet)), draw(st.sampled_from(alphabet))
+    return lead + fill * (draw(st.sampled_from([1, 2, 20, 4299, 4300, 4301, 5000])) - 1)
+
+
+INTEGERS = st.one_of(st.integers(-10**20, 10**20).map(str),
+                     st.builds(str.__add__, st.sampled_from(["", "-", "+"]), digit_runs()))
+FLOATS = st.one_of(st.floats().map(repr), INTEGERS, st.sampled_from(["1e999", "-1e999"]))
+MODELS = st.one_of(st.sampled_from(["linear", "exp", "sinexp", "poly", "cubic"]),
+                   st.builds("poly".__add__, digit_runs()))
+
+
+def run_options(argv) -> int:
+    """``run`` where argparse may refuse a value: exit 2, its usage text, and
+    one error line."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        err = err.getvalue()
+        assert exc.code == 2 and err.startswith("usage: trackcast "), (argv, err)
+        assert err.splitlines()[-1].startswith(f"trackcast {argv[0]}: error: "), err
+        return 2
+    return checked(argv, code, err.getvalue())
+
+
+@SETTINGS
+@given(model=MODELS, models=st.lists(MODELS, min_size=1, max_size=3).map(",".join),
+       cutoff=FLOATS, window=st.one_of(INTEGERS, st.just("all")), horizon=INTEGERS,
+       degree=INTEGERS, region=st.lists(FLOATS, min_size=4, max_size=4).map(",".join))
+def test_hostile_option_values(workdir, model, models, cutoff, window, horizon, degree, region):
+    path = workdir / "options.jsonl"
+    path.write_bytes(STREAMS[StreamFormat.JSONL])
+    common = ["--input", str(path), "--cutoff", cutoff, "--window", window,
+              "--poly-degree", degree]
+    for argv in (["fit", *common, "--axis", "x", "--model", model],
+                 ["predict", *common, "--model", model, "--horizon", horizon, "--region", region],
+                 ["compare", *common, "--models", models, "--horizon", horizon],
+                 ["plot", *common, "--model", model, "--horizon", horizon,
+                  "--out", str(workdir / "options.svg")]):
+        run_options(argv)

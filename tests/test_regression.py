@@ -14,6 +14,7 @@ from trackcast import (
     DomainError,
     FitResult,
     InsufficientDataError,
+    ModelKind,
     PredictionRangeError,
     ValidationError,
     fit_linear,
@@ -232,6 +233,29 @@ class TestFitModel:
     def test_polynomial_degree_validation(self):
         with pytest.raises(ValidationError):
             polynomial(0)
+
+    def test_polynomial_degree_beyond_any_stream(self):
+        assert polynomial(2**53).degree == 2**53
+        with pytest.raises(ValidationError) as err:
+            polynomial(2**53 + 1)
+        assert str(err.value) == f"polynomial degree must be <= {2**53}"
+
+
+class TestModelKindParse:
+    @pytest.mark.parametrize("token, degree", [
+        ("poly3", 3), (" POLY03 ", 3), ("poly٣", 3), ("poly𝟛", 3), ("poly", 4),
+    ])
+    def test_polynomial_tokens(self, token, degree):
+        assert ModelKind.parse(token, default_degree=4) == polynomial(degree)
+
+    @pytest.mark.parametrize("token", [
+        "poly²", "poly³", "poly+3", "poly 3", "poly-1", "poly" + "9" * 5000, "cubic",
+    ], ids=["superscript_2", "superscript_3", "plus", "space", "minus",
+            "over_int_digit_limit", "cubic"])
+    def test_unknown_tokens(self, token):
+        with pytest.raises(ValidationError) as err:
+            ModelKind.parse(token)
+        assert str(err.value) == f"unknown model '{token}'"
 
 
 class TestSharedLogLine:
