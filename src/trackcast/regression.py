@@ -6,7 +6,13 @@ The sin/cos variants absorb their constant correction term into the
 intercept, b = c - sin(a) (resp. cos), so that the prediction form
 exp(a*t + b) + sin(a) reproduces the fitted log-line plus the correction.
 The polynomial kind is the non-linear comparison baseline, solved through
-the normal equations.
+the normal equations. Their Gram matrix, its elimination and the guard's
+verdict depend on t alone, so that work is done once per t column and
+degree and kept in a module-level memo of the last column; both axes of a
+window, and every batch spec with the same frames, build and solve only
+their own right-hand side. The memo is shared by all threads: each fit reads
+the column and its table in one step, and a concurrent replacement at worst
+repeats the same factorization.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 from enum import Enum
+from functools import reduce
+from operator import add, mul
 
 from .errors import (
     DegenerateAbscissaError,
@@ -183,25 +191,62 @@ def _log_line(series: AxisSeries, kind: ModelKind, clamp_nonpositive: bool) -> L
     return line
 
 
+# The t-only work of the polynomial fits on one t column: (ts, {degree: what
+# _factor returned}). Both axes of a window share their t column, and so do
+# batch specs with the same frames; a different column replaces the memo.
+_factored: tuple = ((), {})
+
+
 def _fit_polynomial(samples: Sequence[tuple[float, float]], degree: int) -> tuple[float, ...]:
-    """Least-squares polynomial via the normal equations, ascending powers."""
+    """Least-squares polynomial via the normal equations, ascending powers.
+
+    The Gram matrix and its elimination depend on t alone, so they come from
+    ``_factor`` through the memo; this builds the right-hand side sum(v * t**k)
+    and carries it through the recorded steps and the back-substitution.
+    """
+    global _factored
+    ts, vs = zip(*samples)
+    memo_ts, table = _factored  # one read, so the column and its table agree
+    if memo_ts != ts:
+        table = {}
+        _factored = (ts, table)
+    factors = table.get(degree)
+    if factors is None:
+        factors = table[degree] = _factor(ts, degree)
+    if factors.__class__ is str:
+        raise DegenerateAbscissaError(factors)
+    steps, rows = factors
+    # rhs[k] sums v * t**k left to right, with t**k built by repeated
+    # multiplication from t, as the moments are.
+    power = ts
+    rhs = [reduce(add, vs, 0.0), reduce(add, map(mul, vs, power), 0.0)]
+    for _ in range(1, degree):
+        power = tuple(map(mul, power, ts))
+        rhs.append(reduce(add, map(mul, vs, power), 0.0))
+    for col, (pivot_row, eliminations) in enumerate(steps):
+        if pivot_row != col:
+            rhs[col], rhs[pivot_row] = rhs[pivot_row], rhs[col]
+        pivot_rhs = rhs[col]
+        for r, factor in eliminations:
+            rhs[r] -= factor * pivot_rhs
     m = degree + 1
-    # moments[k] = sum of t^k, k = 0 .. 2*degree
-    moments = [0.0] * (2 * degree + 1)
-    rhs = [0.0] * m
-    for t, v in samples:
-        tk = 1.0
-        for k in range(2 * degree + 1):
-            moments[k] += tk
-            if k < m:
-                rhs[k] += v * tk
-            tk *= t
-    matrix = [[moments[j + k] for k in range(m)] for j in range(m)]
-    return tuple(_solve_guarded(matrix, rhs))
+    out = [0.0] * m
+    for row in range(degree, -1, -1):
+        upper = rows[row]
+        acc = rhs[row]
+        for c in range(row + 1, m):
+            acc -= upper[c] * out[c]
+        out[row] = acc / upper[row]
+    return tuple(out)
 
 
-def _solve_guarded(matrix: list[list[float]], rhs: list[float]) -> list[float]:
-    """Gaussian elimination with partial pivoting and a determinant guard.
+def _factor(ts: tuple[float, ...], degree: int):
+    """The t-only half of a polynomial fit: Gaussian elimination with partial
+    pivoting of the normal equations' Gram matrix, and a determinant guard.
+
+    Returns each column's pivot row with its non-zero (row, factor) pairs,
+    and the eliminated rows, whose upper triangle the back-substitution
+    reads; or, for a system it refuses, the refusal message.
 
     The determinant (product of pivots) must stay above DETERMINANT_GUARD
     times the system's scale, taken as the product of the diagonal entries.
@@ -209,39 +254,39 @@ def _solve_guarded(matrix: list[list[float]], rhs: list[float]) -> list[float]:
     determinant of the diagonally-normalized system, a range-invariant
     conditioning measure in [0, 1].
     """
-    m = len(rhs)
-    aug = [row[:] + [r] for row, r in zip(matrix, rhs)]
+    m = degree + 1
+    # moments[k] = sum of t^k, k = 0 .. 2*degree
+    moments = []
+    power = (1.0,) * len(ts)
+    for _ in range(2 * degree + 1):
+        moments.append(reduce(add, power, 0.0))
+        power = tuple(map(mul, power, ts))
+    rows = [[moments[j + k] for k in range(m)] for j in range(m)]
     scale = 1.0
     for j in range(m):
-        scale *= abs(matrix[j][j])
+        scale *= abs(rows[j][j])
     det = 1.0
+    steps = []
     for col in range(m):
-        pivot_row = max(range(col, m), key=lambda r: abs(aug[r][col]))
+        pivot_row = max(range(col, m), key=lambda r: abs(rows[r][col]))
         if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
             det = -det
-        pivot = aug[col][col]
+        pivot = rows[col][col]
         if pivot == 0.0:
-            raise DegenerateAbscissaError(
-                "polynomial normal equations are singular for these t values"
-            )
+            return "polynomial normal equations are singular for these t values"
         det *= pivot
+        eliminations = []
         for r in range(col + 1, m):
-            factor = aug[r][col] / pivot
+            factor = rows[r][col] / pivot
             if factor != 0.0:
-                for c in range(col, m + 1):
-                    aug[r][c] -= factor * aug[col][c]
+                for c in range(col, m):
+                    rows[r][c] -= factor * rows[col][c]
+                eliminations.append((r, factor))
+        steps.append((pivot_row, tuple(eliminations)))
     if abs(det) < DETERMINANT_GUARD * scale:
-        raise DegenerateAbscissaError(
-            "polynomial normal equations are ill-conditioned for these t values"
-        )
-    out = [0.0] * m
-    for row in range(m - 1, -1, -1):
-        acc = aug[row][m]
-        for c in range(row + 1, m):
-            acc -= aug[row][c] * out[c]
-        out[row] = acc / aug[row][row]
-    return out
+        return "polynomial normal equations are ill-conditioned for these t values"
+    return tuple(steps), tuple(map(tuple, rows))
 
 
 def _correction(family: ModelFamily, a: float) -> float:

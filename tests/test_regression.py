@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 
 import pytest
 
@@ -16,11 +17,16 @@ from trackcast import (
     InsufficientDataError,
     ModelKind,
     PredictionRangeError,
+    SyntheticSpec,
     ValidationError,
+    WindowConfig,
+    batch_compare,
+    compare,
     fit_linear,
     fit_model,
     polynomial,
     predict,
+    regression,
     residual_rmse,
 )
 
@@ -239,6 +245,138 @@ class TestFitModel:
         with pytest.raises(ValidationError) as err:
             polynomial(2**53 + 1)
         assert str(err.value) == f"polynomial degree must be <= {2**53}"
+
+
+def _reference_polynomial(samples, degree):
+    """The polynomial fit as it was before the t-only work was memoized."""
+    m = degree + 1
+    moments = [0.0] * (2 * degree + 1)
+    rhs = [0.0] * m
+    for t, v in samples:
+        tk = 1.0
+        for k in range(2 * degree + 1):
+            moments[k] += tk
+            if k < m:
+                rhs[k] += v * tk
+            tk *= t
+    matrix = [[moments[j + k] for k in range(m)] for j in range(m)]
+    return tuple(_reference_solve_guarded(matrix, rhs))
+
+
+def _reference_solve_guarded(matrix, rhs):
+    m = len(rhs)
+    aug = [row[:] + [r] for row, r in zip(matrix, rhs)]
+    scale = 1.0
+    for j in range(m):
+        scale *= abs(matrix[j][j])
+    det = 1.0
+    for col in range(m):
+        pivot_row = max(range(col, m), key=lambda r: abs(aug[r][col]))
+        if pivot_row != col:
+            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+            det = -det
+        pivot = aug[col][col]
+        if pivot == 0.0:
+            raise DegenerateAbscissaError(
+                "polynomial normal equations are singular for these t values"
+            )
+        det *= pivot
+        for r in range(col + 1, m):
+            factor = aug[r][col] / pivot
+            if factor != 0.0:
+                for c in range(col, m + 1):
+                    aug[r][c] -= factor * aug[col][c]
+    if abs(det) < regression.DETERMINANT_GUARD * scale:
+        raise DegenerateAbscissaError(
+            "polynomial normal equations are ill-conditioned for these t values"
+        )
+    out = [0.0] * m
+    for row in range(m - 1, -1, -1):
+        acc = aug[row][m]
+        for c in range(row + 1, m):
+            acc -= aug[row][c] * out[c]
+        out[row] = acc / aug[row][row]
+    return out
+
+
+def bits(call):
+    """Coefficient bits a call returns, or the type and message it raises."""
+    try:
+        return tuple(struct.pack("<d", c) for c in call())
+    except DegenerateAbscissaError as exc:
+        return type(exc), str(exc)
+
+
+class TestPolynomialMemo:
+    """The t-only half of a polynomial fit is kept per t column and degree;
+    each fit still gives the bits the unmemoized solver gave."""
+
+    @staticmethod
+    def count_factor_steps(monkeypatch):
+        calls = []
+
+        def counted(ts, degree):
+            calls.append((ts, degree))
+            return factor(ts, degree)
+
+        factor = regression._factor
+        monkeypatch.setattr(regression, "_factor", counted)
+        monkeypatch.setattr(regression, "_factored", ((), {}))
+        return calls
+
+    def test_matches_reference_bit_for_bit(self):
+        rng = random.Random(1010)
+        windows = []
+        for i in range(150):
+            n = rng.randint(6, 40)
+            start = (0.0, 1000.5, -17.25, 2.0**30)[i % 4]  # raw, then offset t
+            if i % 3 == 2:
+                ts = [start]
+                for _ in range(n - 1):
+                    ts.append(ts[-1] + rng.uniform(0.01, 3.0))
+            else:
+                ts = [start + t for t in range(n)]
+            windows.append(ts)
+        # A -0.0 column then its equal 0.0 column, which the memo takes as the same key.
+        windows += [[-0.0, *map(float, range(1, 31))], [0.0, *map(float, range(1, 31))]]
+        for ts in windows:
+            xs = series([(t, rng.uniform(-500.0, 500.0)) for t in ts], Axis.X)
+            ys = series([(t, rng.gauss(100.0, 30.0)) for t in ts], Axis.Y)
+            for degree in (2, 5, 2):
+                for s in (xs, ys):
+                    got = bits(lambda: fit_model(s, polynomial(degree)).coefficients)
+                    assert got == bits(lambda: _reference_polynomial(s.samples, degree))
+
+    def test_one_factor_step_per_column_and_degree_over_compare(self, monkeypatch):
+        calls = self.count_factor_steps(monkeypatch)
+        kinds = (polynomial(2), SIN_EXPONENTIAL, polynomial(5), polynomial(2), LINEAR)
+        rng = random.Random(5)
+        xs = series([(t, rng.uniform(1.0, 9.0)) for t in range(40)], Axis.X)
+        ys = series([(t, rng.uniform(1.0, 9.0)) for t in range(40)], Axis.Y)
+        for cutoff in (30.0, 20.0, 20.0):
+            compare(xs, ys, kinds, cutoff, WindowConfig(horizon=5))
+        assert [(len(ts), degree) for ts, degree in calls] == [(31, 2), (31, 5), (21, 2), (21, 5)]
+
+    def test_one_factor_step_per_column_and_degree_over_a_batch(self, monkeypatch):
+        calls = self.count_factor_steps(monkeypatch)
+        specs = [SyntheticSpec(a_x=0.01, b_x=2.0, a_y=0.02, b_y=3.0, n_frames=91 + i % 2,
+                               noise_sigma=0.02, seed=i) for i in range(10)]
+        kinds = (*EXP_FAMILY, polynomial(2), LINEAR, polynomial(5))
+        for cutoff in (30.0, 25.0):
+            reports = batch_compare(specs, kinds, cutoff, WindowConfig(horizon=60))
+            assert [r.failure is None for r in reports[0]] == [True] * 5 + [False]
+        assert [(len(ts), degree) for ts, degree in calls] == [(31, 2), (31, 5), (26, 2), (26, 5)]
+
+    def test_each_refusal_is_a_new_exception(self):
+        s = series([(t, t * 2.0) for t in range(31)])
+        raised = []
+        for _ in range(2):
+            with pytest.raises(DegenerateAbscissaError) as err:
+                fit_model(s, polynomial(5))
+            raised.append(err.value)
+        assert raised[0] is not raised[1]
+        assert str(raised[0]) == str(raised[1]) == (
+            "polynomial normal equations are ill-conditioned for these t values")
 
 
 class TestModelKindParse:
