@@ -249,7 +249,8 @@ def _factor(ts: tuple[float, ...], degree: int):
     reads; or, for a system it refuses, the refusal message.
 
     The determinant (product of pivots) must stay above DETERMINANT_GUARD
-    times the system's scale, taken as the product of the diagonal entries.
+    times the system's scale, taken as the product of the diagonal entries,
+    and both must be finite: once either overflows, the ratio says nothing.
     For the Gram matrix of the normal equations that ratio is the
     determinant of the diagonally-normalized system, a range-invariant
     conditioning measure in [0, 1].
@@ -284,7 +285,8 @@ def _factor(ts: tuple[float, ...], degree: int):
                     rows[r][c] -= factor * rows[col][c]
                 eliminations.append((r, factor))
         steps.append((pivot_row, tuple(eliminations)))
-    if abs(det) < DETERMINANT_GUARD * scale:
+    # The comparison alone would pass a NaN on either side, or inf on both.
+    if not (math.isfinite(det) and math.isfinite(scale)) or abs(det) < DETERMINANT_GUARD * scale:
         return "polynomial normal equations are ill-conditioned for these t values"
     return tuple(steps), tuple(map(tuple, rows))
 

@@ -213,6 +213,16 @@ class TestFitModel:
         with pytest.raises(DegenerateAbscissaError):
             fit_model(series([(t, t * 2) for t in ts]), polynomial(2))
 
+    @pytest.mark.parametrize("degree", [20, 50, 60])
+    def test_polynomial_overflowing_system_refused(self, degree):
+        # On 1000 frames the moments overflow: the scale is inf from poly20 on,
+        # the determinant inf or NaN, and neither may pass the guard.
+        s = series([(t, 1.0 + t) for t in range(1000)])
+        with pytest.raises(DegenerateAbscissaError) as err:
+            fit_model(s, polynomial(degree))
+        assert str(err.value) == (
+            "polynomial normal equations are ill-conditioned for these t values")
+
     def test_nonpositive_value_rejected(self):
         s = series([(0, 1.0), (1, 2.0), (2, 0.0)])
         for kind in EXP_FAMILY:
@@ -325,6 +335,8 @@ class TestPolynomialMemo:
         return calls
 
     def test_matches_reference_bit_for_bit(self):
+        # No window here overflows a moment, the one case where the guard now
+        # refuses what the reference accepted.
         rng = random.Random(1010)
         windows = []
         for i in range(150):
