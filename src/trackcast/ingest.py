@@ -310,19 +310,31 @@ def parse_detections(data: str | bytes | io.IOBase, fmt: StreamFormat) -> list[D
     return _parse_csv(text)
 
 
+class _Rows(list):
+    """A file for ``csv.writer`` that keeps each row it writes as one string."""
+
+    write = list.append
+
+
 def render_detections(records: Iterable[DetectionRecord], fmt: StreamFormat) -> str:
     """Serialize records back to a stream. Reparsing it yields equal records
     when every field is one the parser accepts: an int frame, finite numbers
     and a str label. ``DetectionRecord`` checks only ranges, so a NaN or
     infinite number or a bool frame renders to a stream the parser rejects,
-    and a non-str label reads back from CSV as a str."""
+    and a non-str label reads back from CSV as a str. On Python 3.10 the
+    ``csv`` module can neither write nor read a label that holds NUL: CSV
+    rendering raises ``csv.Error`` for it."""
     if fmt is StreamFormat.JSONL:
         return "".join(json.dumps(dict(zip(CSV_HEADER, r))) + "\n" for r in records)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    # The writer quotes a field that holds a character of its line terminator;
+    # before 3.13 that is all it checks. With "\r\n" a label holding a lone CR
+    # is quoted too, so the parser does not read the CR as a line end; each
+    # row's "\r\n" is then cut back to "\n".
+    rows = _Rows()
+    writer = csv.writer(rows, lineterminator="\r\n")
     writer.writerow(CSV_HEADER)
     writer.writerows(records)  # a float is written as its repr()
-    return out.getvalue()
+    return "".join([row[:-2] + "\n" for row in rows])
 
 
 def select_per_frame(records: list[DetectionRecord]) -> list[DetectionRecord]:

@@ -314,6 +314,15 @@ def test_render_writes_pinned_text(fmt):
                                           else "frame,left,top,width,height,confidence,label\n")
 
 
+@pytest.mark.parametrize("label", ["a\rb", "\r", "end\r", "\r\r\n", "a\r\nb\rc"])
+def test_round_trip_of_a_label_with_a_lone_cr(label):
+    # The parser ends a line at a lone CR, so the label must be written quoted.
+    record = DetectionRecord(2, 1.0, 2.0, 3.0, 4.0, 0.5, label)
+    text = render_detections([record], StreamFormat.CSV)
+    assert text == f'frame,left,top,width,height,confidence,label\n2,1.0,2.0,3.0,4.0,0.5,"{label}"\n'
+    assert parse_detections(text, StreamFormat.CSV) == [record]
+
+
 # Fields that DetectionRecord accepts, since it checks only ranges, but that
 # the parser refuses, with the error each rendered stream then gives.
 UNPARSABLE_FIELDS = {
