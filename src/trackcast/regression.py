@@ -191,18 +191,17 @@ def _log_line(series: AxisSeries, kind: ModelKind, clamp_nonpositive: bool) -> L
     return line
 
 
-# The t-only work of the polynomial fits on one t column: (ts, {degree: what
-# _factor returned}). Both axes of a window share their t column, and so do
-# batch specs with the same frames; a different column replaces the memo.
+# (ts, {degree: what _factor returned}) for the last t column a polynomial
+# fit saw; a fit on a different column replaces it.
 _factored: tuple = ((), {})
 
 
 def _fit_polynomial(samples: Sequence[tuple[float, float]], degree: int) -> tuple[float, ...]:
     """Least-squares polynomial via the normal equations, ascending powers.
 
-    The Gram matrix and its elimination depend on t alone, so they come from
-    ``_factor`` through the memo; this builds the right-hand side sum(v * t**k)
-    and carries it through the recorded steps and the back-substitution.
+    The t-only work comes from ``_factor`` through the memo; this builds the
+    right-hand side sum(v * t**k) and carries it through the recorded steps
+    and the back-substitution.
     """
     global _factored
     ts, vs = zip(*samples)
@@ -240,7 +239,7 @@ def _fit_polynomial(samples: Sequence[tuple[float, float]], degree: int) -> tupl
     return tuple(out)
 
 
-def _factor(ts: tuple[float, ...], degree: int):
+def _factor(ts: tuple[float, ...], degree: int) -> tuple | str:
     """The t-only half of a polynomial fit: Gaussian elimination with partial
     pivoting of the normal equations' Gram matrix, and a determinant guard.
 

@@ -1,6 +1,9 @@
 import math
 import random
 import struct
+import sys
+import threading
+import time
 
 import pytest
 
@@ -378,6 +381,49 @@ class TestPolynomialMemo:
             reports = batch_compare(specs, kinds, cutoff, WindowConfig(horizon=60))
             assert [r.failure is None for r in reports[0]] == [True] * 5 + [False]
         assert [(len(ts), degree) for ts, degree in calls] == [(31, 2), (31, 5), (26, 2), (26, 5)]
+
+    def test_threads_sharing_the_memo_get_the_reference_bits(self, monkeypatch):
+        # More threads than cores switching every microsecond, over three degrees:
+        # seven fit on one t column, and one alternates it with another, so the
+        # memo is replaced under the others. Each factor step ends by yielding the
+        # interpreter lock, so another thread runs between factoring and storing.
+        # A thread that paired one column with the other's factors would get bits
+        # the reference does not give.
+        factor = regression._factor
+
+        def yielding(ts, degree):
+            factors = factor(ts, degree)
+            time.sleep(0)
+            return factors
+
+        monkeypatch.setattr(regression, "_factor", yielding)
+        rng = random.Random(77)
+        columns = []
+        for ts in (range(31), range(5, 26)):
+            s = series([(t, rng.uniform(1.0, 50.0)) for t in ts])
+            columns.append([(s, degree, bits(lambda: _reference_polynomial(s.samples, degree)))
+                            for degree in (2, 3, 5)])
+        wrong = []
+
+        def work(seed):
+            order = random.Random(seed)
+            for i in range(300):
+                s, degree, expected = order.choice(columns[i % 2 if seed == 0 else 0])
+                if bits(lambda: fit_model(s, polynomial(degree)).coefficients) != expected:
+                    wrong.append((s.samples[0][0], degree))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
     def test_each_refusal_is_a_new_exception(self):
         s = series([(t, t * 2.0) for t in range(31)])
