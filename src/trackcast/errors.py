@@ -19,7 +19,7 @@ class ValidationError(TrackcastError):
 
 
 class OrderingError(TrackcastError):
-    """Observations are not strictly increasing in t."""
+    """Observations are not strictly increasing in t, or a t is NaN."""
 
 
 class FitError(TrackcastError):

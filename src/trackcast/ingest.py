@@ -14,7 +14,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from enum import Enum
 from json.scanner import make_scanner
-from operator import attrgetter, le
+from operator import attrgetter, lt
 
 from .errors import OrderingError, ParseError, ValidationError
 
@@ -116,15 +116,19 @@ class AxisSeries:
 
 
 def _require_increasing(axis: Axis, ts: Sequence[float]) -> None:
-    """Raise OrderingError at the first t that is not above the one before it.
-    The test runs at C speed; the loop only names the pair. A NaN on either
-    side of ``t <= prev`` passes, as it always has."""
-    if any(map(le, ts[1:], ts)):
-        for prev, t in zip(ts, ts[1:]):
-            if t <= prev:
+    """Raise OrderingError at the first t that is NaN or not above the one
+    before it. A NaN compares false with every t, so a series holding one
+    has no order for ``trajectory.window`` to bisect. The test runs at C
+    speed; the loop only names the fault."""
+    if not all(map(lt, ts, ts[1:])) or ts and ts[0] != ts[0]:
+        for i, t in enumerate(ts):
+            if t != t:
+                raise OrderingError(f"{axis.value} series t value {t!r} at sample {i} "
+                                    "is not a number")
+            if i and not ts[i - 1] < t:
                 raise OrderingError(
                     f"{axis.value} series t values must be strictly increasing "
-                    f"(t={t!r} after t={prev!r})"
+                    f"(t={t!r} after t={ts[i - 1]!r})"
                 )
 
 

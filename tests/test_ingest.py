@@ -740,9 +740,12 @@ def test_a_field_fault_reads_the_same_in_both_formats(faults, error, message):
 
 
 def ordering_reference(axis, samples):
-    """The per-pair check AxisSeries made before it tested at C speed."""
+    """A per-sample check: the first t that is NaN or not above the one before it."""
     prev = None
-    for t, _ in samples:
+    for i, (t, _) in enumerate(samples):
+        if math.isnan(t):
+            return OrderingError, (f"{axis.value} series t value {t!r} at sample {i} "
+                                   "is not a number")
         if prev is not None and t <= prev:
             return OrderingError, (f"{axis.value} series t values must be strictly increasing "
                                    f"(t={t!r} after t={prev!r})")
@@ -756,11 +759,11 @@ NAN = float("nan")
 class TestOrderingCheck:
     @pytest.mark.parametrize("ts", [
         (), (5.0,), (0.0, 1.0, 2.0), (0.0, 1.0, 1.0), (0.0, 2.0, 1.0, 0.5), (3.0, 2.0),
-        (0.0, NAN, 1.0), (1.0, NAN, 0.5), (NAN, NAN), (NAN, 0.0, 0.0), (-0.0, 0.0),
-        (0.0, 1.0, 2.0, 2.0, 1.0),
+        (0.0, NAN, 1.0), (1.0, NAN, 0.5), (NAN, NAN), (NAN, 0.0, 0.0), (NAN,), (0.0, 1.0, NAN),
+        (2.0, 1.0, NAN), (-0.0, 0.0), (0.0, 1.0, 2.0, 2.0, 1.0),
     ], ids=["empty", "one", "increasing", "equal", "decreasing", "two_decreasing",
-            "nan_between", "nan_then_lower", "nan_twice", "nan_then_equal", "signed_zeros",
-            "first_of_two_faults"])
+            "nan_between", "nan_then_lower", "nan_twice", "nan_then_equal", "nan_alone",
+            "nan_last", "fault_then_nan", "signed_zeros", "first_of_two_faults"])
     def test_same_outcome_as_per_pair_check(self, ts):
         samples = tuple((t, float(i)) for i, t in enumerate(ts))
         for axis in Axis:

@@ -9,9 +9,12 @@ from trackcast import (
     Axis,
     AxisSeries,
     DomainError,
+    EndpointObservation,
+    OrderingError,
     Region,
     ValidationError,
     WindowConfig,
+    build_series,
     gate,
     predict_endpoint,
     window,
@@ -77,6 +80,19 @@ class TestWindow:
             assert first == AxisSeries(Axis.X, expected)
             # the horizon is not part of the window, so the kept one is returned
             assert window(s, WindowConfig(length=length, horizon=7), cutoff) is first
+
+
+    @pytest.mark.parametrize("ts", [(math.nan,), (math.nan, 1.0), (0.0, math.nan),
+                                    (0.0, math.nan, 2.0)])
+    def test_nan_t_is_refused(self, ts):
+        # The window bisects on t, which needs an order no NaN has; a NaN t
+        # used to reach the fit, whose NaN coefficients then read as an
+        # overflowing prediction.
+        samples = tuple((t, 2.0) for t in ts)
+        with pytest.raises(OrderingError, match=r"t value nan at sample \d is not a number"):
+            AxisSeries(Axis.X, samples)
+        with pytest.raises(OrderingError, match=r"t value nan at sample \d is not a number"):
+            build_series([EndpointObservation(t, 2.0, 3.0) for t in ts])
 
 
 class TestGate:
