@@ -5,6 +5,9 @@ All exponential-family variants share one ordinary least squares fit on
 The sin/cos variants absorb their constant correction term into the
 intercept, b = c - sin(a) (resp. cos), so that the prediction form
 exp(a*t + b) + sin(a) reproduces the fitted log-line plus the correction.
+That line takes two passes over the window and builds no (t, ln v) pairs:
+one checks or clamps each value, takes its log and sums both columns, and
+``_line``, which ``fit_linear`` shares, sums the deviations from the means.
 The polynomial kind is the non-linear comparison baseline, solved through
 the normal equations. Their Gram matrix, its elimination and the guard's
 verdict depend on t alone, so that work is done once per t column and
@@ -121,23 +124,37 @@ def fit_linear(pairs: Sequence[tuple[float, float]]) -> LinearFit:
     t0 = pairs[0][0]
     if all(t == t0 for t, _ in pairs):
         raise DegenerateAbscissaError("all t values are equal; cannot fit a slope")
-    # Plain left-to-right sums, as the builtin sum() gives them before
-    # CPython 3.12, which compensates float sums: the same bits on every version.
+    vs = []
     st = sv = 0.0
     for t, v in pairs:
+        vs.append(v)
         st += t
         sv += v
+    return _line(pairs, vs, st, sv)
+
+
+def _line(samples: Sequence[tuple[float, float]], vs: list[float], st: float,
+          sv: float) -> LinearFit:
+    """The least-squares line through the t of ``samples`` and ``vs``, given
+    the sums ``st`` and ``sv`` of both columns. The t values must not all be
+    equal: ``fit_linear`` checks that, and a series' t is strictly increasing.
+
+    Every sum is a plain left-to-right one, as the builtin sum() gives it
+    before CPython 3.12, which compensates float sums: the same bits on every
+    version.
+    """
+    n = len(vs)
     t_mean = st / n
     v_mean = sv / n
     s_tt = s_tv = 0.0
-    for t, v in pairs:
+    for (t, _), v in zip(samples, vs):
         d = t - t_mean
         s_tt += d ** 2
         s_tv += d * (v - v_mean)
     if s_tt == 0.0:
         raise DegenerateAbscissaError("t values are numerically indistinguishable")
     slope = s_tv / s_tt
-    return LinearFit(slope=slope, intercept=v_mean - slope * t_mean)
+    return tuple.__new__(LinearFit, (slope, v_mean - slope * t_mean))
 
 
 def fit_model(series: AxisSeries, kind: ModelKind, clamp_nonpositive: bool = False) -> FitResult:
@@ -167,26 +184,35 @@ def fit_model(series: AxisSeries, kind: ModelKind, clamp_nonpositive: bool = Fal
         line = _log_line(series, kind, clamp_nonpositive)
         a = line.slope
         b = line.intercept - _correction(kind.family, a)
-    return FitResult(kind=kind, a=a, b=b, coefficients=coefficients, n_points=len(samples))
+    return tuple.__new__(FitResult, (kind, a, b, coefficients, len(samples)))
 
 
 def _log_line(series: AxisSeries, kind: ModelKind, clamp_nonpositive: bool) -> LinearFit:
-    """The least-squares line on (t, ln v), kept on the series per clamp value."""
+    """The least-squares line on (t, ln v), kept on the series per clamp value.
+
+    One pass checks or clamps each value, takes its log and sums both
+    columns; ``_line`` makes the second.
+    """
     name = "_log_line_clamped" if clamp_nonpositive else "_log_line"
     line = getattr(series, name)
     if line is not None:
         return line
+    samples = series.samples
     logs = []
-    for i, (t, v) in enumerate(series.samples):
+    st = sv = 0.0
+    for t, v in samples:
         if v <= 0.0:
             if not clamp_nonpositive:
                 raise DomainError(
-                    f"non-positive value {v!r} at t={t!r} (sample {i}) "
+                    f"non-positive value {v!r} at t={t!r} (sample {len(logs)}) "
                     f"under {kind.label} fit"
                 )
             v = CLAMP_FLOOR
-        logs.append((t, math.log(v)))
-    line = fit_linear(logs)
+        v = math.log(v)
+        logs.append(v)
+        st += t
+        sv += v
+    line = _line(samples, logs, st, sv)
     setattr(series, name, line)
     return line
 

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from collections import namedtuple
+from operator import itemgetter
 
 from .errors import TrackcastError, ValidationError
 from .ingest import AxisSeries
@@ -56,6 +57,8 @@ class WindowConfig(namedtuple("WindowConfig", "length horizon")):
 
 PredictedEndpoint = namedtuple("PredictedEndpoint", "t_target x y defect")
 
+_T = itemgetter(0)
+
 
 def window(series: AxisSeries, config: WindowConfig, cutoff_t: float) -> AxisSeries:
     """Samples with t <= cutoff_t, keeping only the last ``length`` of them.
@@ -72,10 +75,10 @@ def window(series: AxisSeries, config: WindowConfig, cutoff_t: float) -> AxisSer
     if kept is not None and kept[0] == key:
         return kept[1]
     samples = series.samples
-    # t is strictly increasing, so the test below is False up to the cutoff and
-    # True after it. Bisecting on the test itself, not on t, keeps a NaN
-    # cutoff (no t is <= NaN) from keeping every sample.
-    end = bisect_left(samples, True, key=lambda s: not s[0] <= cutoff_t)
+    # A series' t is strictly increasing and never NaN, so bisecting on t
+    # finds the end of the samples with t <= cutoff_t. No t is <= a NaN
+    # cutoff, which bisection alone would read as past every sample.
+    end = bisect_right(samples, cutoff_t, key=_T) if cutoff_t == cutoff_t else 0
     start = 0 if config.length is None else max(0, end - config.length)
     windowed = AxisSeries._ordered(series.axis, samples[start:end])
     series._window = (key, windowed)
@@ -119,7 +122,7 @@ def predict_endpoint(
     x = _predict_axis(xs, kind, config, cutoff_t, t_target, clamp_nonpositive)
     y = _predict_axis(ys, kind, config, cutoff_t, t_target, clamp_nonpositive)
     defect = gate((x, y), region) if region is not None else False
-    return PredictedEndpoint(t_target=t_target, x=x, y=y, defect=defect)
+    return tuple.__new__(PredictedEndpoint, (t_target, x, y, defect))
 
 
 def _predict_axis(series, kind, config, cutoff_t, t_target, clamp_nonpositive) -> float:

@@ -457,15 +457,14 @@ class TestModelKindParse:
 class TestSharedLogLine:
     @staticmethod
     def count_line_fits(monkeypatch):
-        from trackcast import regression
-
         calls = []
+        line = regression._line
 
-        def counted(pairs):
-            calls.append(len(pairs))
-            return fit_linear(pairs)
+        def counted(samples, vs, st, sv):
+            calls.append(len(vs))
+            return line(samples, vs, st, sv)
 
-        monkeypatch.setattr(regression, "fit_linear", counted)
+        monkeypatch.setattr(regression, "_line", counted)
         return calls
 
     def test_one_line_per_series_and_clamp_value(self, monkeypatch):
@@ -489,6 +488,100 @@ class TestSharedLogLine:
             assert clamped == fit_model(series(s.samples), kind, clamp_nonpositive=True)
         with pytest.raises(DomainError):
             fit_model(s, EXPONENTIAL)
+
+
+def _reference_fit_linear(pairs):
+    """fit_linear as it was before the log-line fit was fused into one pass."""
+    n = len(pairs)
+    if n < 2:
+        raise InsufficientDataError(f"linear fit needs at least 2 pairs, got {n}")
+    t0 = pairs[0][0]
+    if all(t == t0 for t, _ in pairs):
+        raise DegenerateAbscissaError("all t values are equal; cannot fit a slope")
+    st = sv = 0.0
+    for t, v in pairs:
+        st += t
+        sv += v
+    t_mean = st / n
+    v_mean = sv / n
+    s_tt = s_tv = 0.0
+    for t, v in pairs:
+        d = t - t_mean
+        s_tt += d ** 2
+        s_tv += d * (v - v_mean)
+    if s_tt == 0.0:
+        raise DegenerateAbscissaError("t values are numerically indistinguishable")
+    slope = s_tv / s_tt
+    return slope, v_mean - slope * t_mean
+
+
+def _reference_log_line(samples, kind, clamp_nonpositive):
+    """_log_line as it was: (t, ln v) pairs handed to the reference fit_linear."""
+    logs = []
+    for i, (t, v) in enumerate(samples):
+        if v <= 0.0:
+            if not clamp_nonpositive:
+                raise DomainError(
+                    f"non-positive value {v!r} at t={t!r} (sample {i}) "
+                    f"under {kind.label} fit"
+                )
+            v = regression.CLAMP_FLOOR
+        logs.append((t, math.log(v)))
+    return _reference_fit_linear(logs)
+
+
+_REFERENCE_CORRECTION = {EXPONENTIAL: lambda a: 0.0, SIN_EXPONENTIAL: math.sin,
+                         COS_EXPONENTIAL: math.cos}
+
+
+def _fit_bits(call):
+    """The kind, the bits of a and b, the coefficients and n_points a fit
+    returns as (a, b, ...), or the type and message of what it raises."""
+    try:
+        kind, a, b, *rest = call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return kind, struct.pack("<dd", a, b), *rest
+
+
+class TestFusedLogLine:
+    """The one-pass log-line fit gives the bits of the two-pass fit it
+    replaced: the same plain left-to-right sums in the same order, the same
+    refusals with the same messages."""
+
+    SPECIAL_VALUES = (0.0, -0.0, -1.5, -math.inf, math.inf, math.nan, 1e-300, 5e-324, 1e308)
+
+    def test_bit_identical_to_reference_kernel(self):
+        rng = random.Random(20211)
+        seen = set()
+        for _ in range(3000):
+            offset = rng.choice((0.0, 1e6, 1e15))
+            step = rng.choice((1.0, 0.37, 1e-10, 1e-300))
+            n = rng.randint(2, 40)
+            ts, prev = [], -math.inf
+            for i in range(n):  # never below the next float up, so strictly increasing
+                prev = max(offset + i * step, math.nextafter(prev, math.inf))
+                ts.append(prev)
+            values = [rng.choice(self.SPECIAL_VALUES) if rng.random() < 0.1
+                      else math.exp(rng.uniform(-20.0, 20.0)) for _ in ts]
+            samples = tuple(zip(ts, values))
+            s = AxisSeries(Axis.X, samples)  # one series: later kinds reuse its line
+            for clamp in (False, True):
+                for kind in (*EXP_FAMILY, LINEAR):
+                    if kind is LINEAR:
+                        expected = _fit_bits(lambda: (LINEAR, *_reference_fit_linear(samples),
+                                                      (), n))
+                    else:
+                        def reference():
+                            slope, intercept = _reference_log_line(samples, kind, clamp)
+                            b = intercept - _REFERENCE_CORRECTION[kind](slope)
+                            return kind, slope, b, (), n
+                        expected = _fit_bits(reference)
+                    got = _fit_bits(lambda: fit_model(s, kind, clamp))
+                    assert got == expected, (samples, kind, clamp)
+                    seen.add(expected[0] if isinstance(expected[0], type) else "fitted")
+        # every outcome the fit has was reached
+        assert seen == {"fitted", DomainError, DegenerateAbscissaError}
 
 
 class TestPredict:
