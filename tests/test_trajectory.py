@@ -81,13 +81,10 @@ class TestWindow:
             # the horizon is not part of the window, so the kept one is returned
             assert window(s, WindowConfig(length=length, horizon=7), cutoff) is first
 
-
     @pytest.mark.parametrize("ts", [(math.nan,), (math.nan, 1.0), (0.0, math.nan),
                                     (0.0, math.nan, 2.0)])
     def test_nan_t_is_refused(self, ts):
-        # The window bisects on t, which needs an order no NaN has; a NaN t
-        # used to reach the fit, whose NaN coefficients then read as an
-        # overflowing prediction.
+        # The window bisects on t, which needs an order no NaN has.
         samples = tuple((t, 2.0) for t in ts)
         with pytest.raises(OrderingError, match=r"t value nan at sample \d is not a number"):
             AxisSeries(Axis.X, samples)
