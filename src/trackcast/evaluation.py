@@ -307,25 +307,6 @@ def batch_compare(
     kinds: Sequence[ModelKind],
     cutoff_t: float,
     config: WindowConfig,
-    parallel: bool = False,
 ) -> list[list[ErrorReport]]:
-    """Score many synthetic trajectories; parallel execution is
-    bit-identical to sequential because each spec owns its seed streams.
-
-    ``parallel=True`` runs the specs on a thread pool, whose module is
-    imported on first use. The work is pure Python and holds the
-    interpreter lock, so threads give no speedup: on the 3000 batch_paper
-    specs ``bench/parallel_ref.py`` measured a median of 2.49 s against
-    2.09 s sequential (2 vCPUs, CPython 3.11.7).
-    """
-
-    def score(spec: SyntheticSpec) -> list[ErrorReport]:
-        xs, ys = synthesize(spec)
-        return compare(xs, ys, kinds, cutoff_t, config)
-
-    if parallel:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor() as pool:
-            return list(pool.map(score, specs))
-    return [score(spec) for spec in specs]
+    """Score many synthetic trajectories, one ``compare`` per spec."""
+    return [compare(*synthesize(spec), kinds, cutoff_t, config) for spec in specs]

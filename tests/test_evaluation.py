@@ -441,25 +441,9 @@ class TestRendering:
         assert " - " in text.splitlines()[1] or text.splitlines()[1].rstrip().endswith("-")
 
 
-def test_batch_compare_parallel_matches_sequential():
-    rng = random.Random(9)
-    specs = [
-        SyntheticSpec(
-            a_x=rng.uniform(0.005, 0.03), b_x=rng.uniform(1, 3),
-            a_y=rng.uniform(0.005, 0.03), b_y=rng.uniform(1, 3),
-            n_frames=91, noise_sigma=0.01, seed=i,
-        )
-        for i in range(12)
-    ]
-    config = WindowConfig(horizon=60)
-    sequential = batch_compare(specs, DEFAULT_KINDS, 30.0, config, parallel=False)
-    parallel = batch_compare(specs, DEFAULT_KINDS, 30.0, config, parallel=True)
-    assert sequential == parallel
-
-
-def test_batch_compare_parallel_shares_the_polynomial_memo():
+def test_batch_compare_scores_each_spec_through_the_polynomial_memo():
     # The window keeps t <= cutoff, so every spec fits on one t column, and the
-    # pool's threads race to replace the memo that a fit on another column left.
+    # first call leaves the memo holding another column, which must be replaced.
     rng = random.Random(10)
     specs = [
         SyntheticSpec(
@@ -473,7 +457,6 @@ def test_batch_compare_parallel_shares_the_polynomial_memo():
     kinds = (*DEFAULT_KINDS, LINEAR, polynomial(5), polynomial(3))
     config = WindowConfig(horizon=60)
     batch_compare(specs[:1], kinds, 20.0, config)
-    parallel = batch_compare(specs, kinds, 30.0, config, parallel=True)
-    sequential = batch_compare(specs, kinds, 30.0, config, parallel=False)
-    assert parallel == sequential
-    assert {r.kind.label for rows in parallel for r in rows if r.failure} == {"poly5"}
+    reports = batch_compare(specs, kinds, 30.0, config)
+    assert reports == [compare(*synthesize(s), kinds, 30.0, config) for s in specs]
+    assert {r.kind.label for rows in reports for r in rows if r.failure} == {"poly5"}
