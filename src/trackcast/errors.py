@@ -31,7 +31,7 @@ class InsufficientDataError(FitError):
 
 
 class DegenerateAbscissaError(FitError):
-    """The t values cannot support the fit (all equal, or the normal
+    """The t values cannot support the fit (all equal, one NaN, or the normal
     equations are numerically singular)."""
 
 

@@ -197,6 +197,7 @@ def _parse_jsonl(text: str) -> list[DetectionRecord]:
                     is type(confidence) is float and type(label) is str
                     and left - left == 0.0 and top - top == 0.0
                     and 0.0 < width < inf and 0.0 < height < inf
+                    and left + width / 2.0 < inf and top + height / 2.0 < inf
                     and 0.0 <= confidence <= 1.0):
                 append(new(record_class, (frame, left, top, width, height, confidence, label)))
                 continue
@@ -249,6 +250,7 @@ def _read_csv(reader) -> list[DetectionRecord]:
             if (0 <= frame <= MAX_FRAME
                     and left - left == 0.0 and top - top == 0.0
                     and 0.0 < width < inf and 0.0 < height < inf
+                    and left + width / 2.0 < inf and top + height / 2.0 < inf
                     and 0.0 <= confidence <= 1.0):
                 append(new(record_class, (frame, left, top, width, height, confidence, label)))
                 continue
@@ -276,7 +278,9 @@ def _checked_record(line_no: int, frame, left, top, width, height, confidence,
     """The record of one JSON line or CSV row that the fused test turned away.
     Both formats check their fields here alone, so a fault reads the same in
     either: the frame's type, then each number's type and finiteness in
-    field order, then the label's type, then the record's invariants."""
+    field order, then the label's type, then the record's invariants, then
+    that the box center is finite: two finite numbers such as 'left' and
+    'width' can still sum past the float range."""
     if type(frame) is not int:  # JSON decodes no int subclass but bool
         raise ParseError(f"line {line_no}: value for 'frame' must be an integer")
     for key, value in zip(_NUMBER_KEYS, (left, top, width, height, confidence)):
@@ -296,9 +300,16 @@ def _checked_record(line_no: int, frame, left, top, width, height, confidence,
     if not isinstance(label, str):
         raise ParseError(f"line {line_no}: value for 'label' must be a string")
     try:
-        return DetectionRecord(frame, left, top, width, height, confidence, label)
+        record = DetectionRecord(frame, left, top, width, height, confidence, label)
     except ValidationError as exc:
         raise ValidationError(f"line {line_no}: {exc}") from None
+    if not left + width / 2.0 < _INF:
+        bad = "x = left + width / 2"
+    elif not top + height / 2.0 < _INF:
+        bad = "y = top + height / 2"
+    else:
+        return record
+    raise ValidationError(f"line {line_no}: box center {bad} overflows")
 
 
 def parse_detections(data: str | bytes | io.IOBase, fmt: StreamFormat) -> list[DetectionRecord]:

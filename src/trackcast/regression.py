@@ -130,6 +130,10 @@ def fit_linear(pairs: Sequence[tuple[float, float]]) -> LinearFit:
         vs.append(v)
         st += t
         sv += v
+    if st != st:  # a NaN t, or both infinities
+        for i, (t, _) in enumerate(pairs):
+            if t != t:
+                raise DegenerateAbscissaError(f"t value {t!r} at sample {i} is not a number")
     return _line(pairs, vs, st, sv)
 
 

@@ -364,6 +364,9 @@ class TestHostileInput:
                  ', "top": 1.0, "width": 4.0, "height": 4.0}\n').encode()
     HUGE_FRAME = ('{"frame": 1' + "0" * 400 +
                   ', "left": 1.0, "top": 1.0, "width": 4.0, "height": 4.0}\n').encode()
+    CENTER_OVERFLOWS = b"".join(
+        b'{"frame": %d, "left": 1.7e308, "top": 1.0, "width": 1.7e308, "height": 4.0}\n' % i
+        for i in range(3))
 
     @staticmethod
     def run_main(capsys, *argv):
@@ -377,7 +380,8 @@ class TestHostileInput:
         (NON_UTF8, "input is not UTF-8"),
         (HUGE_LEFT, "line 1: value for 'left' must be finite"),
         (HUGE_FRAME, "line 1: invalid value for 'frame'"),
-    ], ids=["non_utf8", "huge_left", "huge_frame"])
+        (CENTER_OVERFLOWS, "line 1: box center x = left + width / 2 overflows"),
+    ], ids=["non_utf8", "huge_left", "huge_frame", "center_overflows"])
     def test_input_file(self, tmp_path, capsys, data, message):
         path = tmp_path / "hostile.jsonl"
         path.write_bytes(data)

@@ -623,24 +623,28 @@ HOSTILE_FRAMES = {"minus_one": "-1", "two_53": str(2**53), "two_53_plus_1": str(
                   "float": "3.0", "true": "true"}
 PLAIN_FIELDS = {"frame": "3", "left": "10.5", "top": "20.25", "width": "4.0",
                 "height": "6.0", "confidence": "0.9", "label": '"tip"'}
+# Two finite numbers whose sum, the box center, passes the float range.
+NEAR_MAX = ("1.7e308", "1.7e308")
 HOSTILE_CASES = {
-    **{f"{field}-{name}": (field, value)
+    **{f"{field}-{name}": {field: value}
        for field in ("left", "top", "width", "height", "confidence")
        for name, value in HOSTILE_NUMBERS.items()},
-    **{f"frame-{name}": ("frame", (value, value)) for name, value in HOSTILE_FRAMES.items()},
-    "label-int": ("label", ("5", "5")),
-    "label-missing": ("label", (None, None)),
-    "plain": ("label", ('"tip"', "tip")),
+    **{f"frame-{name}": {"frame": (value, value)} for name, value in HOSTILE_FRAMES.items()},
+    "label-int": {"label": ("5", "5")},
+    "label-missing": {"label": (None, None)},
+    "plain": {"label": ('"tip"', "tip")},
+    "center_x-overflows": {"left": NEAR_MAX, "width": NEAR_MAX},
+    "center_y-overflows": {"top": NEAR_MAX, "height": NEAR_MAX},
 }
 
 
-def hostile_streams(field, value):
-    json_value, csv_value = value
+def hostile_streams(faults):
     fields = dict(PLAIN_FIELDS)
-    fields[field] = json_value
-    line = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items() if v is not None) + "}"
     cells = {k: v.strip('"') for k, v in PLAIN_FIELDS.items()}
-    cells[field] = "" if csv_value is None else csv_value
+    for field, (json_value, csv_value) in faults.items():
+        fields[field] = json_value
+        cells[field] = "" if csv_value is None else csv_value
+    line = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items() if v is not None) + "}"
     row = [cells[k] for k in CSV_HEADER]
     return line, row
 
@@ -657,9 +661,9 @@ class TestFusedAdmission:
     field-by-field path, and each record it turns away gets that path's
     outcome: the same record, or the same error type and message."""
 
-    @pytest.mark.parametrize("field, value", HOSTILE_CASES.values(), ids=HOSTILE_CASES.keys())
-    def test_same_as_field_by_field(self, field, value, monkeypatch):
-        line, row = hostile_streams(field, value)
+    @pytest.mark.parametrize("faults", HOSTILE_CASES.values(), ids=HOSTILE_CASES.keys())
+    def test_same_as_field_by_field(self, faults, monkeypatch):
+        line, row = hostile_streams(faults)
         expected = {
             StreamFormat.JSONL: outcome(lambda: [ingest._json_record(json.loads(line), 1)]),
             StreamFormat.CSV: outcome(lambda: [ingest._csv_record(row, 2)]),
@@ -680,9 +684,11 @@ class TestFusedAdmission:
             assert (not slow) == fused
             if isinstance(got, list):
                 assert [type(x) for x in got[0]] == [type(x) for x in expected[fmt][0]]
+                _, left, top, width, height, *_ = got[0]
+                assert math.isfinite(left + width / 2.0) and math.isfinite(top + height / 2.0)
 
     def test_fused_path_is_taken_for_the_plain_record(self):
-        line, row = hostile_streams(*HOSTILE_CASES["confidence-minus_zero"])
+        line, row = hostile_streams(HOSTILE_CASES["confidence-minus_zero"])
         (record,) = parse_detections(line, StreamFormat.JSONL)
         assert record == (3, 10.5, 20.25, 4.0, 6.0, -0.0, "tip")
         assert math.copysign(1.0, record.confidence) == -1.0
@@ -690,7 +696,7 @@ class TestFusedAdmission:
                                 StreamFormat.CSV) == [record]
 
     def test_blank_lines_skipped_and_counted(self):
-        line, _ = hostile_streams(*HOSTILE_CASES["plain"])
+        line, _ = hostile_streams(HOSTILE_CASES["plain"])
         text = f"\n  \t\n{line}\n\x0c\n \n{{bad\n"
         assert outcome(parse_detections, text, StreamFormat.JSONL) == (
             ParseError, "line 6: invalid JSON (Expecting property name enclosed in double quotes)")
@@ -723,6 +729,10 @@ CROSS_FORMAT_FAULTS = {
                        "invalid value for 'confidence'"),
     "width-zero_and_confidence-nan": ({"width": ("0", "0"), "confidence": ("NaN", "nan")},
                                       ParseError, "value for 'confidence' must be finite"),
+    "center_x-overflows": ({"left": NEAR_MAX, "width": NEAR_MAX}, ValidationError,
+                           "box center x = left + width / 2 overflows"),
+    "center_y-overflows": ({"top": NEAR_MAX, "height": NEAR_MAX}, ValidationError,
+                           "box center y = top + height / 2 overflows"),
 }
 
 

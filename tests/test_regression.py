@@ -106,6 +106,14 @@ class TestFitLinear:
         with pytest.raises(DegenerateAbscissaError):
             fit_linear([(3.0, 1.0), (3.0, 2.0), (3.0, 5.0)])
 
+    @pytest.mark.parametrize("at", [0, 1, 2], ids=["first", "middle", "last"])
+    def test_nan_t_refused(self, at):
+        pairs = [(0.0, 1.0), (1.0, 2.0), (2.0, 4.0)]
+        pairs[at] = (math.nan, pairs[at][1])
+        with pytest.raises(DegenerateAbscissaError,
+                           match=f"^t value nan at sample {at} is not a number$"):
+            fit_linear(pairs)
+
     @pytest.mark.parametrize(
         "values,slope,intercept",
         [
