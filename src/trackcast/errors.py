@@ -19,7 +19,7 @@ class ValidationError(TrackcastError):
 
 
 class OrderingError(TrackcastError):
-    """Observations are not strictly increasing in t, or a t is NaN."""
+    """Observations are not strictly increasing in t, or a t is NaN or infinite."""
 
 
 class FitError(TrackcastError):
@@ -31,8 +31,9 @@ class InsufficientDataError(FitError):
 
 
 class DegenerateAbscissaError(FitError):
-    """The t values cannot support the fit (all equal, one NaN, or the normal
-    equations are numerically singular)."""
+    """The t values cannot support the fit (all equal, one NaN or infinite,
+    their sum past the float range, or the normal equations are numerically
+    singular)."""
 
 
 class DomainError(FitError):

@@ -116,15 +116,18 @@ class AxisSeries:
 
 
 def _require_increasing(axis: Axis, ts: Sequence[float]) -> None:
-    """Raise OrderingError at the first t that is NaN or not above the one
-    before it. A NaN compares false with every t, so a series holding one
-    has no order for ``trajectory.window`` to bisect. The test runs at C
-    speed; the loop only names the fault."""
-    if not all(map(lt, ts, ts[1:])) or ts and ts[0] != ts[0]:
+    """Raise OrderingError at the first t that is NaN, infinite or not above
+    the one before it. A NaN compares false with every t, so a series holding
+    one has no order for ``trajectory.window`` to bisect; an infinite t makes
+    every fit's mean infinite. A strictly increasing column can hold -inf
+    only first and +inf only last, so its two ends are all the test reads
+    beyond the pairwise order, which it checks at C speed; the loop only
+    names the fault."""
+    if not all(map(lt, ts, ts[1:])) or ts and not (-_INF < ts[0] and ts[-1] < _INF):
         for i, t in enumerate(ts):
-            if t != t:
-                raise OrderingError(f"{axis.value} series t value {t!r} at sample {i} "
-                                    "is not a number")
+            if t - t != 0.0:
+                raise OrderingError(f"{axis.value} series t value {t!r} at sample {i} is not "
+                                    + ("a number" if t != t else "finite"))
             if i and not ts[i - 1] < t:
                 raise OrderingError(
                     f"{axis.value} series t values must be strictly increasing "

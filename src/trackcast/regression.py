@@ -8,6 +8,8 @@ exp(a*t + b) + sin(a) reproduces the fitted log-line plus the correction.
 That line takes two passes over the window and builds no (t, ln v) pairs:
 one checks or clamps each value, takes its log and sums both columns, and
 ``_line``, which ``fit_linear`` shares, sums the deviations from the means.
+Squares there are products, which IEEE 754 rounds correctly, not pow(),
+whose rounding depends on the C library.
 The polynomial kind is the non-linear comparison baseline, solved through
 the normal equations. Their Gram matrix, its elimination and the guard's
 verdict depend on t alone, so that work is done once per t column and
@@ -52,6 +54,11 @@ class ModelFamily(Enum):
     POLYNOMIAL = "poly"
 
 
+# The members bound once, in definition order: each ModelFamily.X read goes
+# through the Enum metaclass, several times slower than a global lookup.
+_F_LINEAR, _F_EXPONENTIAL, _F_SIN_EXPONENTIAL, _F_COS_EXPONENTIAL, _F_POLYNOMIAL = ModelFamily
+
+
 class ModelKind(namedtuple("ModelKind", "family degree")):
     """A model selector: family plus degree for the polynomial baseline."""
 
@@ -73,13 +80,13 @@ class ModelKind(namedtuple("ModelKind", "family degree")):
 
     @property
     def label(self) -> str:
-        if self.family is ModelFamily.POLYNOMIAL:
+        if self.family is _F_POLYNOMIAL:
             return f"poly{self.degree}"
         return self.family.value
 
     @property
     def min_points(self) -> int:
-        return self.degree + 1 if self.family is ModelFamily.POLYNOMIAL else 2
+        return self.degree + 1 if self.family is _F_POLYNOMIAL else 2
 
     @classmethod
     def parse(cls, token: str, default_degree: int = 2) -> "ModelKind":
@@ -130,10 +137,13 @@ def fit_linear(pairs: Sequence[tuple[float, float]]) -> LinearFit:
         vs.append(v)
         st += t
         sv += v
-    if st != st:  # a NaN t, or both infinities
+    if st - st != 0.0:  # a NaN or infinite t, or a sum past the float range
         for i, (t, _) in enumerate(pairs):
-            if t != t:
-                raise DegenerateAbscissaError(f"t value {t!r} at sample {i} is not a number")
+            if t - t != 0.0:
+                raise DegenerateAbscissaError(
+                    f"t value {t!r} at sample {i} is not "
+                    + ("a number" if t != t else "finite"))
+        raise DegenerateAbscissaError("the sum of the t values overflows")
     return _line(pairs, vs, st, sv)
 
 
@@ -144,8 +154,9 @@ def _line(samples: Sequence[tuple[float, float]], vs: list[float], st: float,
     equal: ``fit_linear`` checks that, and a series' t is strictly increasing.
 
     Every sum is a plain left-to-right one, as the builtin sum() gives it
-    before CPython 3.12, which compensates float sums: the same bits on every
-    version.
+    before CPython 3.12, which compensates float sums, and every square is
+    the product d * d, never d ** 2, which calls the C library's pow() and
+    some libraries round wrongly: the same bits on every version and platform.
     """
     n = len(vs)
     t_mean = st / n
@@ -153,7 +164,7 @@ def _line(samples: Sequence[tuple[float, float]], vs: list[float], st: float,
     s_tt = s_tv = 0.0
     for (t, _), v in zip(samples, vs):
         d = t - t_mean
-        s_tt += d ** 2
+        s_tt += d * d
         s_tv += d * (v - v_mean)
     if s_tt == 0.0:
         raise DegenerateAbscissaError("t values are numerically indistinguishable")
@@ -171,24 +182,25 @@ def fit_model(series: AxisSeries, kind: ModelKind, clamp_nonpositive: bool = Fal
     series never changes. A DomainError is not kept, so each kind raises it
     under its own label.
     """
-    samples = series.samples
-    if len(samples) < kind.min_points:
+    samples = series._samples
+    n = len(samples)
+    family, degree = kind
+    # kind.min_points, without the property call: the degree is 0 outside
+    # the polynomial family, and a polynomial needs degree + 1 >= 2 samples.
+    if n < 2 or n <= degree:
         raise InsufficientDataError(
-            f"{kind.label} fit needs at least {kind.min_points} samples, got {len(samples)}"
+            f"{kind.label} fit needs at least {kind.min_points} samples, got {n}"
         )
-    a = 0.0
-    b = 0.0
+    a = b = 0.0
     coefficients: tuple[float, ...] = ()
-    if kind.family is ModelFamily.LINEAR:
-        line = fit_linear(samples)
-        a, b = line.slope, line.intercept
-    elif kind.family is ModelFamily.POLYNOMIAL:
-        coefficients = _fit_polynomial(samples, kind.degree)
+    if family is _F_LINEAR:
+        a, b = fit_linear(samples)
+    elif family is _F_POLYNOMIAL:
+        coefficients = _fit_polynomial(samples, degree)
     else:
-        line = _log_line(series, kind, clamp_nonpositive)
-        a = line.slope
-        b = line.intercept - _correction(kind.family, a)
-    return tuple.__new__(FitResult, (kind, a, b, coefficients, len(samples)))
+        a, c = _log_line(series, kind, clamp_nonpositive)
+        b = c - _correction(family, a)
+    return tuple.__new__(FitResult, (kind, a, b, coefficients, n))
 
 
 def _log_line(series: AxisSeries, kind: ModelKind, clamp_nonpositive: bool) -> LinearFit:
@@ -197,11 +209,10 @@ def _log_line(series: AxisSeries, kind: ModelKind, clamp_nonpositive: bool) -> L
     One pass checks or clamps each value, takes its log and sums both
     columns; ``_line`` makes the second.
     """
-    name = "_log_line_clamped" if clamp_nonpositive else "_log_line"
-    line = getattr(series, name)
+    line = series._log_line_clamped if clamp_nonpositive else series._log_line
     if line is not None:
         return line
-    samples = series.samples
+    samples = series._samples
     logs = []
     st = sv = 0.0
     for t, v in samples:
@@ -217,7 +228,10 @@ def _log_line(series: AxisSeries, kind: ModelKind, clamp_nonpositive: bool) -> L
         st += t
         sv += v
     line = _line(samples, logs, st, sv)
-    setattr(series, name, line)
+    if clamp_nonpositive:
+        series._log_line_clamped = line
+    else:
+        series._log_line = line
     return line
 
 
@@ -324,38 +338,55 @@ def _correction(family: ModelFamily, a: float) -> float:
     """The constant term an exponential-family variant adds to exp(a*t + b).
     Identity tests, not a dict keyed by the family, whose lookups would
     call the Python-level Enum.__hash__."""
-    if family is ModelFamily.SIN_EXPONENTIAL:
+    if family is _F_SIN_EXPONENTIAL:
         return math.sin(a)
-    if family is ModelFamily.COS_EXPONENTIAL:
+    if family is _F_COS_EXPONENTIAL:
         return math.cos(a)
     return 0.0
 
 
 def predict(fit: FitResult, t: float) -> float:
     """Evaluate the fitted model at time t; pure composition, no re-fitting."""
-    family, a, b = fit.kind.family, fit.a, fit.b
+    kind, a, b, coefficients, _ = fit
+    family = kind.family
     try:
-        if family is ModelFamily.LINEAR:
+        if family is _F_LINEAR:
             value = a * t + b
-        elif family is ModelFamily.POLYNOMIAL:
+        elif family is _F_POLYNOMIAL:
             value = 0.0
-            for coeff in reversed(fit.coefficients):
+            for coeff in reversed(coefficients):
                 value = value * t + coeff
         else:
             value = math.exp(a * t + b) + _correction(family, a)
     except OverflowError:
-        raise PredictionRangeError(f"{fit.kind.label} prediction overflows at t={t!r}") from None
+        raise PredictionRangeError(f"{kind.label} prediction overflows at t={t!r}") from None
     if not math.isfinite(value):
-        raise PredictionRangeError(f"{fit.kind.label} prediction overflows at t={t!r}")
+        raise PredictionRangeError(f"{kind.label} prediction overflows at t={t!r}")
     return value
 
 
 def residual_rmse(fit: FitResult, series: AxisSeries) -> float:
-    """Root-mean-square of predict(fit, t) - v over the series."""
-    if not series.samples:
+    """Root-mean-square of predict(fit, t) - v over the series.
+
+    When finite residuals have squares past the float range, they are summed
+    again divided by the largest of them, which bounds the result, so the
+    RMSE stays finite; only a residual past the float range gives inf.
+    """
+    samples = series.samples
+    if not samples:
         raise InsufficientDataError("cannot compute RMSE of an empty series")
+    n = len(samples)
     total = 0.0
-    for t, v in series.samples:
+    for t, v in samples:
         residual = predict(fit, t) - v
         total += residual * residual
-    return math.sqrt(total / len(series.samples))
+    if total == math.inf:
+        residuals = [predict(fit, t) - v for t, v in samples]
+        m = max(map(abs, residuals))
+        if m < math.inf:
+            total = 0.0
+            for residual in residuals:
+                residual /= m
+                total += residual * residual
+            return m * math.sqrt(total / n)
+    return math.sqrt(total / n)

@@ -74,13 +74,13 @@ def window(series: AxisSeries, config: WindowConfig, cutoff_t: float) -> AxisSer
     kept = series._window
     if kept is not None and kept[0] == key:
         return kept[1]
-    samples = series.samples
+    samples = series._samples
     # A series' t is strictly increasing and never NaN, so bisecting on t
     # finds the end of the samples with t <= cutoff_t. No t is <= a NaN
     # cutoff, which bisection alone would read as past every sample.
     end = bisect_right(samples, cutoff_t, key=_T) if cutoff_t == cutoff_t else 0
     start = 0 if config.length is None else max(0, end - config.length)
-    windowed = AxisSeries._ordered(series.axis, samples[start:end])
+    windowed = AxisSeries._ordered(series._axis, samples[start:end])
     series._window = (key, windowed)
     return windowed
 

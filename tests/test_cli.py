@@ -136,6 +136,16 @@ class TestFit:
         assert code == 0
         assert out.startswith("kind = exp\n")
 
+    def test_rmse_of_squares_past_float_range(self, run_cli, tmp_path):
+        # Each residual is about -1.0019e295: finite, though its square is not.
+        stream = tmp_path / "big.jsonl"
+        stream.write_text(jsonl_stream(lambda t: 1e308, lambda t: 4.0, 3))
+        code, out, _ = run_cli("fit", "--input", str(stream), "--axis", "x",
+                               "--model", "exp")
+        assert code == 0
+        rmse = out.splitlines()[-1]
+        assert rmse.startswith("rmse = ") and float(rmse[7:]) == pytest.approx(1.0019118e295)
+
     def test_csv_input(self, run_cli, tmp_path):
         stream = tmp_path / "stream.csv"
         rows = ["frame,left,top,width,height,confidence,label"]

@@ -750,12 +750,16 @@ def test_a_field_fault_reads_the_same_in_both_formats(faults, error, message):
 
 
 def ordering_reference(axis, samples):
-    """A per-sample check: the first t that is NaN or not above the one before it."""
+    """A per-sample check: the first t that is NaN, infinite or not above the
+    one before it."""
     prev = None
     for i, (t, _) in enumerate(samples):
         if math.isnan(t):
             return OrderingError, (f"{axis.value} series t value {t!r} at sample {i} "
                                    "is not a number")
+        if math.isinf(t):
+            return OrderingError, (f"{axis.value} series t value {t!r} at sample {i} "
+                                   "is not finite")
         if prev is not None and t <= prev:
             return OrderingError, (f"{axis.value} series t values must be strictly increasing "
                                    f"(t={t!r} after t={prev!r})")
@@ -764,6 +768,7 @@ def ordering_reference(axis, samples):
 
 
 NAN = float("nan")
+INF = float("inf")
 
 
 class TestOrderingCheck:
@@ -771,9 +776,13 @@ class TestOrderingCheck:
         (), (5.0,), (0.0, 1.0, 2.0), (0.0, 1.0, 1.0), (0.0, 2.0, 1.0, 0.5), (3.0, 2.0),
         (0.0, NAN, 1.0), (1.0, NAN, 0.5), (NAN, NAN), (NAN, 0.0, 0.0), (NAN,), (0.0, 1.0, NAN),
         (2.0, 1.0, NAN), (-0.0, 0.0), (0.0, 1.0, 2.0, 2.0, 1.0),
+        (0.0, 1.0, INF), (-INF, 0.0), (INF,), (-INF,), (-INF, INF), (0.0, INF, 1.0),
+        (INF, 0.0), (INF, NAN),
     ], ids=["empty", "one", "increasing", "equal", "decreasing", "two_decreasing",
             "nan_between", "nan_then_lower", "nan_twice", "nan_then_equal", "nan_alone",
-            "nan_last", "fault_then_nan", "signed_zeros", "first_of_two_faults"])
+            "nan_last", "fault_then_nan", "signed_zeros", "first_of_two_faults",
+            "inf_last", "minus_inf_first", "inf_alone", "minus_inf_alone", "both_infinities",
+            "inf_then_lower", "inf_first", "inf_then_nan"])
     def test_same_outcome_as_per_pair_check(self, ts):
         samples = tuple((t, float(i)) for i, t in enumerate(ts))
         for axis in Axis:

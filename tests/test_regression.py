@@ -4,6 +4,7 @@ import struct
 import sys
 import threading
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -113,6 +114,24 @@ class TestFitLinear:
         with pytest.raises(DegenerateAbscissaError,
                            match=f"^t value nan at sample {at} is not a number$"):
             fit_linear(pairs)
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([(0.0, 1.0), (1.0, 2.0), (math.inf, 4.0)], "t value inf at sample 2 is not finite"),
+        ([(-math.inf, 1.0), (1.0, 2.0)], "t value -inf at sample 0 is not finite"),
+        ([(-math.inf, 1.0), (math.inf, 2.0)], "t value -inf at sample 0 is not finite"),
+        ([(0.0, 1.0), (math.inf, 2.0), (math.nan, 4.0)], "t value inf at sample 1 is not finite"),
+        ([(1e308, 1.0), (1.7e308, 2.0)], "the sum of the t values overflows"),
+    ], ids=["inf_last", "minus_inf_first", "both_infinities", "inf_before_nan", "sum_overflows"])
+    def test_infinite_t_refused(self, pairs, message):
+        with pytest.raises(DegenerateAbscissaError, match=f"^{message}$"):
+            fit_linear(pairs)
+
+    def test_squares_are_correctly_rounded(self):
+        # glibc 2.36's pow() rounds this half-gap's square one unit too high;
+        # a product is rounded correctly on every platform.
+        d = float.fromhex("0x1.ff4127ba1a2a7p+5")
+        square = float(Fraction(d) ** 2)
+        assert fit_linear([(0.0, 0.0), (2 * d, 1.0)]).slope == d / (square + square)
 
     @pytest.mark.parametrize(
         "values,slope,intercept",
@@ -515,7 +534,7 @@ def _reference_fit_linear(pairs):
     s_tt = s_tv = 0.0
     for t, v in pairs:
         d = t - t_mean
-        s_tt += d ** 2
+        s_tt += d * d
         s_tv += d * (v - v_mean)
     if s_tt == 0.0:
         raise DegenerateAbscissaError("t values are numerically indistinguishable")
@@ -662,3 +681,12 @@ class TestResidualRmse:
         fit = FitResult(LINEAR, a=1.0, b=0.0, coefficients=(), n_points=2)
         with pytest.raises(InsufficientDataError):
             residual_rmse(fit, series([]))
+
+    def test_squares_past_float_range(self):
+        # Each residual is finite, their squares are not; the RMSE is.
+        fit = FitResult(LINEAR, a=0.0, b=0.0, coefficients=(), n_points=2)
+        value = residual_rmse(fit, series([(0, 1e200), (1, -2e200), (2, 3e200)]))
+        assert value == pytest.approx(math.sqrt(14 / 3) * 1e200, rel=1e-15)
+        # A residual past the float range still gives inf.
+        fit = FitResult(LINEAR, a=0.0, b=1e308, coefficients=(), n_points=2)
+        assert residual_rmse(fit, series([(0, 1.0), (1, -1e308)])) == math.inf
