@@ -11,6 +11,7 @@ from .errors import (
     DegenerateAbscissaError,
     DomainError,
     FitError,
+    FitOverflowError,
     GenerationError,
     InsufficientDataError,
     MissingTruthError,

@@ -32,12 +32,17 @@ class InsufficientDataError(FitError):
 
 class DegenerateAbscissaError(FitError):
     """The t values cannot support the fit (all equal, one NaN or infinite,
-    their sum past the float range, or the normal equations are numerically
-    singular)."""
+    their sum past the float range, or too close together or too far from 0
+    for a polynomial of the degree asked: its orthogonal basis is singular,
+    or rounding could move its values past POLYNOMIAL_ERROR_BOUND)."""
 
 
 class DomainError(FitError):
     """A non-positive value appeared under an exponential-family fit."""
+
+
+class FitOverflowError(FitError):
+    """A fit's coefficients, or the sums that give them, pass the float range."""
 
 
 class PredictionRangeError(TrackcastError):

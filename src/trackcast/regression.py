@@ -10,14 +10,14 @@ one checks or clamps each value, takes its log and sums both columns, and
 ``_line``, which ``fit_linear`` shares, sums the deviations from the means.
 Squares there are products, which IEEE 754 rounds correctly, not pow(),
 whose rounding depends on the C library.
-The polynomial kind is the non-linear comparison baseline, solved through
-the normal equations. Their Gram matrix, its elimination and the guard's
-verdict depend on t alone, so that work is done once per t column and
-degree and kept in a module-level memo of the last column; both axes of a
-window, and every batch spec with the same frames, build and solve only
-their own right-hand side. The memo is shared by all threads: each fit reads
-the column and its table in one step, and a concurrent replacement at worst
-repeats the same factorization.
+The polynomial kind is the non-linear comparison baseline, fitted through
+polynomials orthogonal on the window's t. Their recurrence, their mapping
+back to raw-t powers and the conditioning guard's verdict depend on t alone,
+so that work is done once per t column and degree and kept in a module-level
+memo of the last column; both axes of a window, and every batch spec with
+the same frames, only take their values' dot products. The memo is shared by
+all threads: each fit reads the column and its table in one step, and a
+concurrent replacement at worst repeats the same factorization.
 """
 
 from __future__ import annotations
@@ -26,12 +26,13 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 from enum import Enum
-from functools import reduce
-from operator import add, mul
+from math import fsum, isfinite
+from operator import mul
 
 from .errors import (
     DegenerateAbscissaError,
     DomainError,
+    FitOverflowError,
     InsufficientDataError,
     PredictionRangeError,
     ValidationError,
@@ -41,9 +42,10 @@ from .ingest import MAX_FRAME, AxisSeries
 # Opt-in replacement for non-positive values under exponential-family fits.
 CLAMP_FLOOR = 1e-9
 
-# Relative determinant threshold below which the polynomial normal
-# equations are rejected as ill-conditioned.
-DETERMINANT_GUARD = 1e-12
+# The largest relative change that rounding in a polynomial fit's raw-t
+# coefficients and in their Horner evaluation may bring to a value on the
+# window, for values of unit scale; ``_factor`` refuses a t column past it.
+POLYNOMIAL_ERROR_BOUND = 1e-6
 
 
 class ModelFamily(Enum):
@@ -143,24 +145,30 @@ def fit_linear(pairs: Sequence[tuple[float, float]]) -> LinearFit:
                 raise DegenerateAbscissaError(
                     f"t value {t!r} at sample {i} is not "
                     + ("a number" if t != t else "finite"))
-        raise DegenerateAbscissaError("the sum of the t values overflows")
     return _line(pairs, vs, st, sv)
 
 
 def _line(samples: Sequence[tuple[float, float]], vs: list[float], st: float,
           sv: float) -> LinearFit:
     """The least-squares line through the t of ``samples`` and ``vs``, given
-    the sums ``st`` and ``sv`` of both columns. The t values must not all be
-    equal: ``fit_linear`` checks that, and a series' t is strictly increasing.
+    the sums ``st`` and ``sv`` of both columns. The t values must be finite
+    and not all equal: ``fit_linear`` checks that, and a series' t is strictly
+    increasing. A t sum past the float range is refused; a value sum past it
+    is taken again over the values divided by the largest of them.
 
     Every sum is a plain left-to-right one, as the builtin sum() gives it
     before CPython 3.12, which compensates float sums, and every square is
     the product d * d, never d ** 2, which calls the C library's pow() and
     some libraries round wrongly: the same bits on every version and platform.
     """
+    if st - st != 0.0:
+        raise DegenerateAbscissaError("the sum of the t values overflows")
     n = len(vs)
     t_mean = st / n
     v_mean = sv / n
+    if sv - sv != 0.0 and all(map(isfinite, vs)):
+        largest = max(map(abs, vs))
+        v_mean = largest * (fsum([v / largest for v in vs]) / n)
     s_tt = s_tv = 0.0
     for (t, _), v in zip(samples, vs):
         d = t - t_mean
@@ -241,11 +249,11 @@ _factored: tuple = ((), {})
 
 
 def _fit_polynomial(samples: Sequence[tuple[float, float]], degree: int) -> tuple[float, ...]:
-    """Least-squares polynomial via the normal equations, ascending powers.
+    """Least-squares polynomial in ascending powers of raw t.
 
-    The t-only work comes from ``_factor`` through the memo; this builds the
-    right-hand side sum(v * t**k) and carries it through the recorded steps
-    and the back-substitution.
+    ``_factor`` gives, through the memo, one row of weights per coefficient,
+    so each coefficient is one dot product with the values. ``math.fsum``
+    rounds it correctly, so it has the same bits on every CPython version.
     """
     global _factored
     ts, vs = zip(*samples)
@@ -258,80 +266,70 @@ def _fit_polynomial(samples: Sequence[tuple[float, float]], degree: int) -> tupl
         factors = table[degree] = _factor(ts, degree)
     if factors.__class__ is str:
         raise DegenerateAbscissaError(factors)
-    steps, rows = factors
-    # rhs[k] sums v * t**k left to right, with t**k built by repeated
-    # multiplication from t, as the moments are.
-    power = ts
-    rhs = [reduce(add, vs, 0.0), reduce(add, map(mul, vs, power), 0.0)]
-    for _ in range(1, degree):
-        power = tuple(map(mul, power, ts))
-        rhs.append(reduce(add, map(mul, vs, power), 0.0))
-    for col, (pivot_row, eliminations) in enumerate(steps):
-        if pivot_row != col:
-            rhs[col], rhs[pivot_row] = rhs[pivot_row], rhs[col]
-        pivot_rhs = rhs[col]
-        for r, factor in eliminations:
-            rhs[r] -= factor * pivot_rhs
-    m = degree + 1
-    out = [0.0] * m
-    for row in range(degree, -1, -1):
-        upper = rows[row]
-        acc = rhs[row]
-        for c in range(row + 1, m):
-            acc -= upper[c] * out[c]
-        out[row] = acc / upper[row]
-    return tuple(out)
+    try:
+        coefficients = tuple([fsum(map(mul, row, vs)) for row in factors])
+        if all(map(isfinite, coefficients)):
+            return coefficients
+    except (OverflowError, ValueError):  # a partial sum past the float range, or inf - inf
+        pass
+    raise FitOverflowError("polynomial coefficients pass the float range for these values")
 
 
 def _factor(ts: tuple[float, ...], degree: int) -> tuple | str:
-    """The t-only half of a polynomial fit: Gaussian elimination with partial
-    pivoting of the normal equations' Gram matrix, and a determinant guard.
+    """The t-only half of a polynomial fit: the weight rows ``_fit_polynomial``
+    reads, or, for a t column it refuses, the refusal message.
 
-    Returns each column's pivot row with its non-zero (row, factor) pairs,
-    and the eliminated rows, whose upper triangle the back-substitution
-    reads; or, for a system it refuses, the refusal message.
+    t is scaled to x = (t - center) / half on [-1, 1], where the three-term
+    recurrence p_k+1 = (x - alpha_k) p_k - beta_k p_k-1 from p_0 = 1 gives
+    polynomials orthogonal on the window's x (G. E. Forsythe, J. SIAM 5(2),
+    1957). The fit is the sum of c_k p_k with c_k = <v, p_k> / |p_k|^2, so no
+    Gram matrix is formed. Each p_k is carried as its values at the samples,
+    column k of P, and as its ascending coefficients in raw t, column k of E;
+    row j of E diag(1 / |p_k|^2) P^T then gives raw coefficient j.
 
-    The determinant (product of pivots) must stay above DETERMINANT_GUARD
-    times the system's scale, taken as the product of the diagonal entries,
-    and both must be finite: once either overflows, the ratio says nothing.
-    For the Gram matrix of the normal equations that ratio is the
-    determinant of the diagonally-normalized system, a range-invariant
-    conditioning measure in [0, 1].
+    kappa = sum over k of (sum over j of |E_jk| T^j) sqrt(n / |p_k|^2), with T
+    the largest |t| of the window, bounds how far rounding in the raw
+    coefficients and in their Horner evaluation can move a value on the
+    window, for values of unit scale. A column is refused when 3 m u kappa
+    passes POLYNOMIAL_ERROR_BOUND (m coefficients, u = 2**-52), or when some
+    |p_k|^2 is not positive.
     """
+    n = len(ts)
     m = degree + 1
-    # moments[k] = sum of t^k, k = 0 .. 2*degree
-    moments = []
-    power = (1.0,) * len(ts)
-    for _ in range(2 * degree + 1):
-        moments.append(reduce(add, power, 0.0))
-        power = tuple(map(mul, power, ts))
-    rows = [[moments[j + k] for k in range(m)] for j in range(m)]
-    scale = 1.0
-    for j in range(m):
-        scale *= abs(rows[j][j])
-    det = 1.0
-    steps = []
-    for col in range(m):
-        pivot_row = max(range(col, m), key=lambda r: abs(rows[r][col]))
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            det = -det
-        pivot = rows[col][col]
-        if pivot == 0.0:
-            return "polynomial normal equations are singular for these t values"
-        det *= pivot
-        eliminations = []
-        for r in range(col + 1, m):
-            factor = rows[r][col] / pivot
-            if factor != 0.0:
-                for c in range(col, m):
-                    rows[r][c] -= factor * rows[col][c]
-                eliminations.append((r, factor))
-        steps.append((pivot_row, tuple(eliminations)))
-    # The comparison alone would pass a NaN on either side, or inf on both.
-    if not (math.isfinite(det) and math.isfinite(scale)) or abs(det) < DETERMINANT_GUARD * scale:
-        return "polynomial normal equations are ill-conditioned for these t values"
-    return tuple(steps), tuple(map(tuple, rows))
+    first, last = ts[0], ts[-1]
+    center = first * 0.5 + last * 0.5  # halves first, so neither overflows
+    half = last * 0.5 - first * 0.5
+    xs = [(t - center) / half for t in ts]
+    scale, shift = 1.0 / half, -center / half  # x = scale * t + shift
+    big_t = max(abs(first), abs(last))
+    p, p_prev = [1.0] * n, [0.0] * n
+    e, e_prev = [1.0] + [0.0] * degree, [0.0] * m
+    columns, weights = [], []
+    kappa = 0.0
+    for k in range(m):
+        squares = list(map(mul, p, p))
+        norm = fsum(squares)
+        if not norm > 0.0:
+            return "polynomial fit is singular for these t values"
+        columns.append(p)
+        weights.append([c / norm for c in e])
+        bound = 0.0  # sum of |E_jk| T^j, by Horner's rule
+        for c in reversed(e):
+            bound = bound * big_t + abs(c)
+        kappa += bound * math.sqrt(n / norm)
+        if k < degree:
+            alpha = fsum(map(mul, xs, squares)) / norm
+            beta = norm / prev_norm if k else 0.0
+            prev_norm = norm
+            p, p_prev = [(x - alpha) * a - beta * b for x, a, b in zip(xs, p, p_prev)], p
+            # The same step on raw-t coefficients: (scale * t + shift - alpha) e
+            # - beta e_prev; e's last entry is 0, as p_k has degree k < m - 1.
+            e, e_prev = [scale * lower + (shift - alpha) * c - beta * b
+                         for lower, c, b in zip([0.0, *e], e, e_prev)], e
+    if not 3 * m * 2.0**-52 * kappa <= POLYNOMIAL_ERROR_BOUND:  # NaN is refused too
+        return "polynomial fit is ill-conditioned for these t values"
+    by_sample = list(zip(*columns))  # p_0(x_i) .. p_d(x_i) for each sample i
+    return tuple([tuple([fsum(map(mul, row, at)) for at in by_sample]) for row in zip(*weights)])
 
 
 def _correction(family: ModelFamily, a: float) -> float:

@@ -146,6 +146,17 @@ class TestFit:
         rmse = out.splitlines()[-1]
         assert rmse.startswith("rmse = ") and float(rmse[7:]) == pytest.approx(1.0019118e295)
 
+    def test_linear_fit_of_values_whose_sum_overflows(self, run_cli, tmp_path):
+        # The x sum of three boxes at 1e308 is inf; their mean is not.
+        stream = tmp_path / "big.jsonl"
+        stream.write_text(jsonl_stream(lambda t: 1e308, lambda t: 4.0, 3))
+        code, out, _ = run_cli("fit", "--input", str(stream), "--axis", "x",
+                               "--model", "linear")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1] == "a = 0.000000"
+        assert float(lines[2][4:]) == 1e308
+
     def test_csv_input(self, run_cli, tmp_path):
         stream = tmp_path / "stream.csv"
         rows = ["frame,left,top,width,height,confidence,label"]
@@ -399,6 +410,16 @@ class TestHostileInput:
                                   "--model", "linear")
         assert code == 2
         assert message in err
+
+    def test_polynomial_coefficients_past_float_range(self, tmp_path, capsys):
+        path = tmp_path / "hostile.jsonl"
+        path.write_text(jsonl_stream(lambda t: (1.7e308, -1.7e308, 1.7e308)[t],
+                                     lambda t: 4.0, 3))
+        code, err = self.run_main(capsys, "fit", "--input", str(path), "--axis", "x",
+                                  "--model", "poly2")
+        assert code == 2
+        assert err == (
+            "error: x axis: polynomial coefficients pass the float range for these values\n")
 
     def test_non_utf8_stdin(self, monkeypatch, capsys):
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(self.NON_UTF8)))

@@ -17,6 +17,7 @@ from trackcast import (
     AxisSeries,
     DegenerateAbscissaError,
     DomainError,
+    FitOverflowError,
     FitResult,
     InsufficientDataError,
     ModelKind,
@@ -32,6 +33,7 @@ from trackcast import (
     predict,
     regression,
     residual_rmse,
+    synthesize,
 )
 
 EXP_FAMILY = (EXPONENTIAL, SIN_EXPONENTIAL, COS_EXPONENTIAL)
@@ -54,6 +56,33 @@ def normal_equations_line(pairs):
     stv = sum(t * v for t, v in pairs)
     slope = (n * stv - st * sv) / (n * stt - st * st)
     return slope, (sv - slope * st) / n
+
+
+def exact_polynomial(samples, degree):
+    """Least-squares coefficients, ascending powers, from the normal equations
+    solved exactly in ``fractions``: every float is a dyadic rational."""
+    m = degree + 1
+    mom = [sum(Fraction(t) ** k for t, _ in samples) for k in range(2 * degree + 1)]
+    rhs = [sum(Fraction(v) * Fraction(t) ** k for t, v in samples) for k in range(m)]
+    aug = [[mom[j + k] for k in range(m)] + [rhs[j]] for j in range(m)]
+    for c in range(m):
+        p = next(r for r in range(c, m) if aug[r][c] != 0)
+        aug[c], aug[p] = aug[p], aug[c]
+        for r in range(m):
+            if r != c and aug[r][c] != 0:
+                f = aug[r][c] / aug[c][c]
+                for k in range(c, m + 1):
+                    aug[r][k] -= f * aug[c][k]
+    return [aug[j][m] / aug[j][j] for j in range(m)]
+
+
+def exact_value(coefficients, t):
+    return float(sum(c * Fraction(t) ** k for k, c in enumerate(coefficients)))
+
+
+# Relative agreement of a polynomial fit with the exact solution, on values
+# of at least unit scale: the benchmark's tolerance.
+EXACT_TOLERANCE = 1e-9
 
 
 class TestFitLinear:
@@ -125,6 +154,15 @@ class TestFitLinear:
     def test_infinite_t_refused(self, pairs, message):
         with pytest.raises(DegenerateAbscissaError, match=f"^{message}$"):
             fit_linear(pairs)
+
+    def test_value_sum_past_float_range(self):
+        # The value sum is inf; the mean of the values divided by the largest
+        # is not, so the line is the constant the values hold.
+        fit = fit_linear([(0.0, 1e308), (1.0, 1e308), (2.0, 1e308)])
+        assert (fit.slope, fit.intercept) == (0.0, 1e308)
+        fit = fit_linear([(0.0, 1.5e308), (1.0, 1.7e308), (2.0, 1.6e308)])
+        assert fit.slope == pytest.approx(0.05e308, rel=1e-15)
+        assert fit.intercept == pytest.approx(1.55e308, rel=1e-15)
 
     def test_squares_are_correctly_rounded(self):
         # glibc 2.36's pow() rounds this half-gap's square one unit too high;
@@ -201,37 +239,60 @@ class TestFitModel:
                 assert predict(fit, t) == pytest.approx(v, rel=1e-6, abs=1e-6)
 
     def test_polynomial_matches_exact_fraction_oracle(self):
-        from fractions import Fraction
-
-        def exact_solution(samples, degree):
-            m = degree + 1
-            mom = [sum(Fraction(t) ** k for t, _ in samples) for k in range(2 * degree + 1)]
-            rhs = [sum(Fraction(v) * Fraction(t) ** k for t, v in samples) for k in range(m)]
-            aug = [[mom[j + k] for k in range(m)] + [rhs[j]] for j in range(m)]
-            for c in range(m):
-                p = next(r for r in range(c, m) if aug[r][c] != 0)
-                aug[c], aug[p] = aug[p], aug[c]
-                for r in range(m):
-                    if r != c and aug[r][c] != 0:
-                        f = aug[r][c] / aug[c][c]
-                        for k in range(c, m + 1):
-                            aug[r][k] -= f * aug[c][k]
-            return [float(aug[j][m] / aug[j][j]) for j in range(m)]
-
         rng = random.Random(321)
         for _ in range(60):
             degree = rng.randint(1, 4)
             n = rng.randint(degree + 3, 30)
-            # origin-anchored windows keep the normal equations well-conditioned
             samples = tuple(
                 (round(t + rng.random() * 0.3, 6), round(rng.uniform(-50, 50), 6))
                 for t in range(n)
             )
             fit = fit_model(series(samples), polynomial(degree))
-            oracle = exact_solution(samples, degree)
+            oracle = exact_polynomial(samples, degree)
             for t in (samples[0][0], samples[-1][0], samples[-1][0] + 25.0):
-                expected = sum(c * t**k for k, c in enumerate(oracle))
+                expected = exact_value(oracle, t)
                 assert predict(fit, t) == pytest.approx(expected, rel=1e-6, abs=1e-6)
+
+    @pytest.mark.parametrize("n", [21, 31, 100])
+    @pytest.mark.parametrize("degree", range(2, 9))
+    @pytest.mark.parametrize("shape", ["frames", "offset", "irregular"])
+    def test_polynomial_agrees_with_exact_solution(self, shape, degree, n):
+        # Frames 0..n-1, the same frames from 30, and irregular steps from
+        # 0; noisy growth of unit scale or more. Read at the first t, the
+        # last t and 60 past it, where the benchmark scores its forecasts.
+        rng = random.Random(degree * 1000 + n)
+        if shape == "irregular":
+            ts = [0.0]
+            for _ in range(n - 1):
+                ts.append(ts[-1] + rng.uniform(0.25, 1.75))
+        else:
+            ts = [float(t + (30 if shape == "offset" else 0)) for t in range(n)]
+        samples = tuple((t, 80.0 * math.exp(0.01 * t) + rng.gauss(0.0, 3.0)) for t in ts)
+        try:
+            fit = fit_model(series(samples), polynomial(degree))
+        except DegenerateAbscissaError as err:
+            # Only the far-from-0 frames at high degree are refused.
+            assert (shape, str(err)) == (
+                "offset", "polynomial fit is ill-conditioned for these t values")
+            assert degree >= 7
+            return
+        oracle = exact_polynomial(samples, degree)
+        for t in (ts[0], ts[-1], ts[-1] + 60.0):
+            expected = exact_value(oracle, t)
+            assert abs(predict(fit, t) - expected) <= EXACT_TOLERANCE * max(1.0, abs(expected))
+
+    def test_poly5_is_available_on_a_paper_window(self):
+        # The benchmark's batch_paper shape: 100 frames, fitted on t = 0..30
+        # and scored 60 frames on. Every poly5 row used to be refused there.
+        spec = SyntheticSpec(a_x=0.012, b_x=2.5, a_y=0.02, b_y=3.1, n_frames=100,
+                             noise_sigma=0.02, shake_prob=0.2, shake_scale=1.5, seed=7)
+        xs, ys = synthesize(spec)
+        (report,) = compare(xs, ys, [polynomial(5)], 30.0, WindowConfig(horizon=60))
+        assert report.failure is None
+        for s, predicted in zip((xs, ys), report.predicted):
+            oracle = exact_polynomial(s.samples[:31], 5)
+            expected = exact_value(oracle, 90.0)
+            assert abs(predicted - expected) <= EXACT_TOLERANCE * max(1.0, abs(expected))
 
     def test_polynomial_insufficient_points(self):
         with pytest.raises(InsufficientDataError):
@@ -245,13 +306,31 @@ class TestFitModel:
 
     @pytest.mark.parametrize("degree", [20, 50, 60])
     def test_polynomial_overflowing_system_refused(self, degree):
-        # On 1000 frames the moments overflow: the scale is inf from poly20 on,
-        # the determinant inf or NaN, and neither may pass the guard.
+        # On 1000 frames the raw-t coefficients of these degrees cannot hold
+        # the fit: rounding in them could move a value by 28 (poly20) to 3e32
+        # (poly60) times the data's scale.
         s = series([(t, 1.0 + t) for t in range(1000)])
         with pytest.raises(DegenerateAbscissaError) as err:
             fit_model(s, polynomial(degree))
-        assert str(err.value) == (
-            "polynomial normal equations are ill-conditioned for these t values")
+        assert str(err.value) == "polynomial fit is ill-conditioned for these t values"
+
+    @pytest.mark.parametrize("values", [
+        (1.7e308, -1.7e308, 1.7e308), (1.7e308, 1.7e308, 1.7e308), (0.0, 1.7e308, 0.0),
+    ], ids=["partial_sum_overflows", "inf_minus_inf", "product_overflows"])
+    def test_polynomial_coefficients_past_float_range_refused(self, values):
+        # Finite values whose weighted sums leave the float range: fsum
+        # raises OverflowError, or ValueError once two products overflow with
+        # opposite signs, or returns an infinite coefficient.
+        s = series(list(enumerate(values)))
+        with pytest.raises(FitOverflowError) as err:
+            fit_model(s, polynomial(2))
+        assert str(err.value) == "polynomial coefficients pass the float range for these values"
+
+    @pytest.mark.parametrize("kind", [LINEAR, *EXP_FAMILY], ids=lambda k: k.label)
+    def test_t_sum_overflow_refused_by_every_line(self, kind):
+        s = series([(1e308, 1.0), (1.7e308, 2.0)])
+        with pytest.raises(DegenerateAbscissaError, match="^the sum of the t values overflows$"):
+            fit_model(s, kind)
 
     def test_nonpositive_value_rejected(self):
         s = series([(0, 1.0), (1, 2.0), (2, 0.0)])
@@ -287,58 +366,6 @@ class TestFitModel:
         assert str(err.value) == f"polynomial degree must be <= {2**53}"
 
 
-def _reference_polynomial(samples, degree):
-    """The polynomial fit as it was before the t-only work was memoized."""
-    m = degree + 1
-    moments = [0.0] * (2 * degree + 1)
-    rhs = [0.0] * m
-    for t, v in samples:
-        tk = 1.0
-        for k in range(2 * degree + 1):
-            moments[k] += tk
-            if k < m:
-                rhs[k] += v * tk
-            tk *= t
-    matrix = [[moments[j + k] for k in range(m)] for j in range(m)]
-    return tuple(_reference_solve_guarded(matrix, rhs))
-
-
-def _reference_solve_guarded(matrix, rhs):
-    m = len(rhs)
-    aug = [row[:] + [r] for row, r in zip(matrix, rhs)]
-    scale = 1.0
-    for j in range(m):
-        scale *= abs(matrix[j][j])
-    det = 1.0
-    for col in range(m):
-        pivot_row = max(range(col, m), key=lambda r: abs(aug[r][col]))
-        if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-            det = -det
-        pivot = aug[col][col]
-        if pivot == 0.0:
-            raise DegenerateAbscissaError(
-                "polynomial normal equations are singular for these t values"
-            )
-        det *= pivot
-        for r in range(col + 1, m):
-            factor = aug[r][col] / pivot
-            if factor != 0.0:
-                for c in range(col, m + 1):
-                    aug[r][c] -= factor * aug[col][c]
-    if abs(det) < regression.DETERMINANT_GUARD * scale:
-        raise DegenerateAbscissaError(
-            "polynomial normal equations are ill-conditioned for these t values"
-        )
-    out = [0.0] * m
-    for row in range(m - 1, -1, -1):
-        acc = aug[row][m]
-        for c in range(row + 1, m):
-            acc -= aug[row][c] * out[c]
-        out[row] = acc / aug[row][row]
-    return out
-
-
 def bits(call):
     """Coefficient bits a call returns, or the type and message it raises."""
     try:
@@ -347,9 +374,20 @@ def bits(call):
         return type(exc), str(exc)
 
 
+def fresh_bits(samples, degree):
+    """The bits of a polynomial fit factored afresh: the memo emptied first
+    and put back after, so the fit reads no earlier column's work."""
+    saved = regression._factored
+    regression._factored = ((), {})
+    try:
+        return bits(lambda: regression._fit_polynomial(samples, degree))
+    finally:
+        regression._factored = saved
+
+
 class TestPolynomialMemo:
     """The t-only half of a polynomial fit is kept per t column and degree;
-    each fit still gives the bits the unmemoized solver gave."""
+    each fit still gives the bits of a fit factored afresh."""
 
     @staticmethod
     def count_factor_steps(monkeypatch):
@@ -365,8 +403,6 @@ class TestPolynomialMemo:
         return calls
 
     def test_matches_reference_bit_for_bit(self):
-        # No window here overflows a moment, the one case where the guard now
-        # refuses what the reference accepted.
         rng = random.Random(1010)
         windows = []
         for i in range(150):
@@ -381,13 +417,17 @@ class TestPolynomialMemo:
             windows.append(ts)
         # A -0.0 column then its equal 0.0 column, which the memo takes as the same key.
         windows += [[-0.0, *map(float, range(1, 31))], [0.0, *map(float, range(1, 31))]]
+        outcomes = set()
         for ts in windows:
             xs = series([(t, rng.uniform(-500.0, 500.0)) for t in ts], Axis.X)
             ys = series([(t, rng.gauss(100.0, 30.0)) for t in ts], Axis.Y)
             for degree in (2, 5, 2):
                 for s in (xs, ys):
-                    got = bits(lambda: fit_model(s, polynomial(degree)).coefficients)
-                    assert got == bits(lambda: _reference_polynomial(s.samples, degree))
+                    expected = fresh_bits(s.samples, degree)
+                    assert bits(lambda: fit_model(s, polynomial(degree)).coefficients) == expected
+                    outcomes.add(expected[1] if expected[0] is DegenerateAbscissaError
+                                 else "fitted")
+        assert outcomes == {"fitted", "polynomial fit is ill-conditioned for these t values"}
 
     def test_one_factor_step_per_column_and_degree_over_compare(self, monkeypatch):
         calls = self.count_factor_steps(monkeypatch)
@@ -406,7 +446,7 @@ class TestPolynomialMemo:
         kinds = (*EXP_FAMILY, polynomial(2), LINEAR, polynomial(5))
         for cutoff in (30.0, 25.0):
             reports = batch_compare(specs, kinds, cutoff, WindowConfig(horizon=60))
-            assert [r.failure is None for r in reports[0]] == [True] * 5 + [False]
+            assert [r.failure for rows in reports for r in rows] == [None] * 60
         assert [(len(ts), degree) for ts, degree in calls] == [(31, 2), (31, 5), (26, 2), (26, 5)]
 
     def test_threads_sharing_the_memo_get_the_reference_bits(self, monkeypatch):
@@ -416,6 +456,13 @@ class TestPolynomialMemo:
         # interpreter lock, so another thread runs between factoring and storing.
         # A thread that paired one column with the other's factors would get bits
         # the reference does not give.
+        rng = random.Random(77)
+        columns = []
+        for ts in (range(31), range(5, 26)):
+            s = series([(t, rng.uniform(1.0, 50.0)) for t in ts])
+            columns.append([(s, degree, fresh_bits(s.samples, degree)) for degree in (2, 3, 5)])
+        assert all(expected[0].__class__ is bytes for column in columns
+                   for _, _, expected in column)
         factor = regression._factor
 
         def yielding(ts, degree):
@@ -424,12 +471,6 @@ class TestPolynomialMemo:
             return factors
 
         monkeypatch.setattr(regression, "_factor", yielding)
-        rng = random.Random(77)
-        columns = []
-        for ts in (range(31), range(5, 26)):
-            s = series([(t, rng.uniform(1.0, 50.0)) for t in ts])
-            columns.append([(s, degree, bits(lambda: _reference_polynomial(s.samples, degree)))
-                            for degree in (2, 3, 5)])
         wrong = []
 
         def work(seed):
@@ -452,16 +493,21 @@ class TestPolynomialMemo:
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
 
-    def test_each_refusal_is_a_new_exception(self):
-        s = series([(t, t * 2.0) for t in range(31)])
+    @pytest.mark.parametrize("ts, degree, message", [
+        (range(31), 12, "polynomial fit is ill-conditioned for these t values"),
+        (range(600), 599, "polynomial fit is singular for these t values"),
+    ], ids=["ill_conditioned", "singular"])
+    def test_each_refusal_is_a_new_exception(self, ts, degree, message):
+        # poly12 on 31 frames passes the bound; on 600 frames p_599's values
+        # underflow, so its squared norm is 0.
+        s = series([(t, t * 2.0) for t in ts])
         raised = []
         for _ in range(2):
             with pytest.raises(DegenerateAbscissaError) as err:
-                fit_model(s, polynomial(5))
+                fit_model(s, polynomial(degree))
             raised.append(err.value)
         assert raised[0] is not raised[1]
-        assert str(raised[0]) == str(raised[1]) == (
-            "polynomial normal equations are ill-conditioned for these t values")
+        assert str(raised[0]) == str(raised[1]) == message
 
 
 class TestModelKindParse:
@@ -518,7 +564,8 @@ class TestSharedLogLine:
 
 
 def _reference_fit_linear(pairs):
-    """fit_linear as it was before the log-line fit was fused into one pass."""
+    """fit_linear as it was before the log-line fit was fused into one pass,
+    with the t-sum refusal and the scaled mean of values whose sum overflows."""
     n = len(pairs)
     if n < 2:
         raise InsufficientDataError(f"linear fit needs at least 2 pairs, got {n}")
@@ -529,8 +576,13 @@ def _reference_fit_linear(pairs):
     for t, v in pairs:
         st += t
         sv += v
+    if not math.isfinite(st):
+        raise DegenerateAbscissaError("the sum of the t values overflows")
     t_mean = st / n
     v_mean = sv / n
+    if not math.isfinite(sv) and all(math.isfinite(v) for _, v in pairs):
+        largest = max(abs(v) for _, v in pairs)
+        v_mean = largest * (math.fsum(v / largest for _, v in pairs) / n)
     s_tt = s_tv = 0.0
     for t, v in pairs:
         d = t - t_mean
