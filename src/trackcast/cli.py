@@ -102,7 +102,7 @@ def _load_series(args) -> tuple[AxisSeries, AxisSeries]:
     fmt = StreamFormat(args.format)
     records = select_per_frame(parse_detections(_read(args.input), fmt))
     xs, ys = build_series([to_observation(r) for r in records])
-    if not xs.samples:
+    if not xs._ts:
         raise InsufficientDataError("input stream contains no detections")
     return xs, ys
 
@@ -140,11 +140,12 @@ def cmd_simulate(args) -> int:
         spec = spec._replace(seed=args.seed)
     xs, ys = evaluation.synthesize(spec)
     half = SIMULATED_BOX_SIZE / 2.0
+    size = fixed6(SIMULATED_BOX_SIZE)
     lines = []
-    for (t, x), (_, y) in zip(xs.samples, ys.samples):
+    for t, x, y in zip(xs._ts, xs._vs, ys._vs):
         lines.append(
             f'{{"frame": {int(t)}, "left": {fixed6(x - half)}, "top": {fixed6(y - half)}, '
-            f'"width": {fixed6(SIMULATED_BOX_SIZE)}, "height": {fixed6(SIMULATED_BOX_SIZE)}, '
+            f'"width": {size}, "height": {size}, '
             f'"confidence": 1.000000, "label": "{SIMULATED_LABEL}"}}'
         )
     _write(args.out, "".join(line + "\n" for line in lines))
@@ -176,7 +177,7 @@ def cmd_fit(args) -> int:
 def cmd_predict(args) -> int:
     xs, ys = _load_series(args)
     config = WindowConfig(length=args.window, horizon=args.horizon)
-    cutoff = _cutoff(args, xs.samples[-1][0])
+    cutoff = _cutoff(args, xs._ts[-1])
     region = None
     if args.region is not None:
         x0, y0, x1, y1 = args.region
@@ -197,7 +198,7 @@ def cmd_compare(args) -> int:
         for token in args.models.split(",")
     ] if args.models else list(evaluation.DEFAULT_KINDS)
     config = WindowConfig(length=args.window, horizon=args.horizon)
-    cutoff = _cutoff(args, xs.samples[-1][0] - args.horizon)
+    cutoff = _cutoff(args, xs._ts[-1] - args.horizon)
     reports = evaluation.compare(xs, ys, kinds, cutoff, config, args.clamp_nonpositive)
     if args.table == "text":
         _write(args.out, evaluation.comparison_text(reports))
@@ -210,7 +211,7 @@ def cmd_plot(args) -> int:
     xs, ys = _load_series(args)
     kind = _model_kind(args)
     config = WindowConfig(length=args.window, horizon=args.horizon)
-    cutoff = _cutoff(args, xs.samples[-1][0])
+    cutoff = _cutoff(args, xs._ts[-1])
     t_target = cutoff + config.horizon
     panels = []
     for series in (xs, ys):
@@ -218,7 +219,7 @@ def cmd_plot(args) -> int:
         fit = fit_axis(series, kind, config, cutoff, args.clamp_nonpositive)
         if not math.isfinite(t_target):  # the curve steps over whole frames up to it
             raise ValidationError(f"plot needs a finite target frame, got {t_target!r}")
-        first, last = math.ceil(windowed.samples[0][0]), math.floor(t_target)
+        first, last = math.ceil(windowed._ts[0]), math.floor(t_target)
         stride = max(1, -(-(last - first + 1) // MAX_CURVE_FRAMES))
         curve_ts = [float(t) for t in range(first, last + 1, stride)]
         if not curve_ts or curve_ts[-1] != t_target:

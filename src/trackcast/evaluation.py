@@ -23,7 +23,6 @@ from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from enum import Enum
-from operator import itemgetter
 
 from .errors import (
     FitError,
@@ -104,10 +103,10 @@ def error_rate(predicted: float, actual: float) -> float:
 
 
 def _value_at(series: AxisSeries, t: float) -> float:
-    samples = series.samples
-    i = bisect_left(samples, t, key=itemgetter(0))
-    if i < len(samples) and samples[i][0] == t:
-        return samples[i][1]
+    ts = series._ts
+    i = bisect_left(ts, t)
+    if i < len(ts) and ts[i] == t:
+        return series._vs[i]
     raise MissingTruthError(
         f"no ground-truth sample at t={t!r} on the {series.axis.value} series"
     )
@@ -155,8 +154,8 @@ def compare(
     return [evaluate(xs, ys, kind, cutoff_t, config, clamp_nonpositive) for kind in kinds]
 
 
-def _synth_axis(axis: Axis, a: float, b: float, spec: SyntheticSpec,
-                rng: random.Random) -> tuple[tuple[float, float], ...]:
+def _synth_axis(axis: Axis, a: float, b: float, spec: SyntheticSpec, rng: random.Random,
+                ts: tuple[float, ...]) -> tuple[float, ...]:
     # The Box-Muller transform is inlined and everything that does not change
     # per frame is looked up once; each value is the same expression, over
     # the same uniforms in the same order, as the documented generator.
@@ -165,9 +164,8 @@ def _synth_axis(axis: Axis, a: float, b: float, spec: SyntheticSpec,
     two_pi = 2.0 * math.pi
     offset = math.sin(a) if spec.variant is Variant.SIN_EXPONENTIAL else 0.0
     sigma, shake_prob, shake_scale = spec.noise_sigma, spec.shake_prob, spec.shake_scale
-    samples = []
-    for frame in range(spec.n_frames):
-        t = float(frame)
+    values = []
+    for t in ts:
         try:
             base = exp(a * t + b) + offset
             # 1 - random() keeps the log argument in (0, 1].
@@ -179,28 +177,29 @@ def _synth_axis(axis: Axis, a: float, b: float, spec: SyntheticSpec,
             value = base * exp(sigma * noise)
         except OverflowError:
             raise GenerationError(
-                f"generated value overflows at frame {frame} on the {axis.value} axis"
+                f"generated value overflows at frame {int(t)} on the {axis.value} axis"
             ) from None
         if shake_decision < shake_prob:
             value += shake_offset
         if not isfinite(value):
             raise GenerationError(
-                f"generated value overflows at frame {frame} on the {axis.value} axis"
+                f"generated value overflows at frame {int(t)} on the {axis.value} axis"
             )
         if not value > 0.0:
             raise GenerationError(
-                f"generated non-positive value {value!r} at frame {frame} "
+                f"generated non-positive value {value!r} at frame {int(t)} "
                 f"on the {axis.value} axis"
             )
-        samples.append((t, value))
-    return tuple(samples)
+        values.append(value)
+    return tuple(values)
 
 
 def synthesize(spec: SyntheticSpec) -> tuple[AxisSeries, AxisSeries]:
-    """Generate the (X, Y) series for t = 0 .. n_frames - 1."""
-    xs = _synth_axis(Axis.X, spec.a_x, spec.b_x, spec, random.Random(2 * spec.seed))
-    ys = _synth_axis(Axis.Y, spec.a_y, spec.b_y, spec, random.Random(2 * spec.seed + 1))
-    return AxisSeries._ordered(Axis.X, xs), AxisSeries._ordered(Axis.Y, ys)
+    """Generate the (X, Y) series for t = 0 .. n_frames - 1; both share one t column."""
+    ts = tuple(map(float, range(spec.n_frames)))
+    xs = _synth_axis(Axis.X, spec.a_x, spec.b_x, spec, random.Random(2 * spec.seed), ts)
+    ys = _synth_axis(Axis.Y, spec.a_y, spec.b_y, spec, random.Random(2 * spec.seed + 1), ts)
+    return AxisSeries._from_columns(Axis.X, ts, xs), AxisSeries._from_columns(Axis.Y, ts, ys)
 
 
 _SPEC_FLOAT_KEYS = ("a_x", "b_x", "a_y", "b_y", "noise_sigma", "shake_prob", "shake_scale")

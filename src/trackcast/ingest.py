@@ -72,38 +72,50 @@ EndpointObservation = namedtuple("EndpointObservation", "t x y")
 
 
 class AxisSeries:
-    """One coordinate axis over time: ordered (t, value) samples.
+    """One coordinate axis over time: a t column and a value column.
 
-    A series never changes after it is built, so results derived from it can
-    be kept on it: ``trajectory.window`` keeps its last window in ``_window``
-    and ``regression.fit_model`` its exponential-family line in
-    ``_log_line`` or ``_log_line_clamped``. Equality, hashing and ``repr``
-    see only ``axis`` and ``samples``, which are read-only properties.
+    The columns are tuples of equal length, t strictly increasing; the x and
+    y series of one stream share one t tuple. ``samples``, the (t, value)
+    pairs, is built on its first read and kept. A series never changes after
+    it is built, so results derived from it can be kept on it:
+    ``trajectory.window`` keeps its last window in ``_window`` and
+    ``regression.fit_model`` its exponential-family line in ``_log_line`` or
+    ``_log_line_clamped``. Equality, hashing and ``repr`` see only ``axis``
+    and ``samples``, which are read-only properties.
     """
 
-    __slots__ = ("_axis", "_samples", "_window", "_log_line", "_log_line_clamped")
+    __slots__ = ("_axis", "_ts", "_vs", "_samples", "_window", "_log_line",
+                 "_log_line_clamped")
 
     axis = property(attrgetter("_axis"))
-    samples = property(attrgetter("_samples"))
 
-    def __init__(self, axis: Axis, samples: tuple[tuple[float, float], ...]) -> None:
-        _require_increasing(axis, [t for t, _ in samples])
-        self._axis, self._samples = axis, samples
-        self._window = self._log_line = self._log_line_clamped = None
+    def __init__(self, axis: Axis, samples: Sequence[tuple[float, float]]) -> None:
+        ts = tuple([t for t, _ in samples])
+        _require_increasing(axis, ts)
+        self._axis, self._ts, self._vs = axis, ts, tuple([v for _, v in samples])
+        self._samples = self._window = self._log_line = self._log_line_clamped = None
 
     @classmethod
-    def _ordered(cls, axis: Axis, samples: tuple[tuple[float, float], ...]) -> "AxisSeries":
-        """A series from samples already known to be strictly increasing in t,
-        such as a slice of another series; the ordering check is skipped."""
+    def _from_columns(cls, axis: Axis, ts: tuple[float, ...],
+                      vs: tuple[float, ...]) -> "AxisSeries":
+        """A series of columns already known to be equally long and strictly
+        increasing in t, such as slices of another series; nothing is checked."""
         series = object.__new__(cls)
-        series._axis, series._samples = axis, samples
-        series._window = series._log_line = series._log_line_clamped = None
+        series._axis, series._ts, series._vs = axis, ts, vs
+        series._samples = series._window = series._log_line = series._log_line_clamped = None
         return series
+
+    @property
+    def samples(self) -> tuple[tuple[float, float], ...]:
+        samples = self._samples
+        if samples is None:
+            samples = self._samples = tuple(zip(self._ts, self._vs))
+        return samples
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.axis, self.samples) == (other.axis, other.samples)
+        return (self._axis, self._ts, self._vs) == (other._axis, other._ts, other._vs)
 
     def __hash__(self) -> int:
         return hash((self.axis, self.samples))
@@ -388,8 +400,7 @@ def to_observation(record: DetectionRecord) -> EndpointObservation:
 
 
 def build_series(observations: list[EndpointObservation]) -> tuple[AxisSeries, AxisSeries]:
-    """Split observations into an X series of (t, x) and a Y series of (t, y)."""
+    """Split observations into an X and a Y series that share one t column."""
     ts, xs, ys = zip(*observations) if observations else ((), (), ())
     _require_increasing(Axis.X, ts)  # the t column both series share, checked once
-    return (AxisSeries._ordered(Axis.X, tuple(zip(ts, xs))),
-            AxisSeries._ordered(Axis.Y, tuple(zip(ts, ys))))
+    return AxisSeries._from_columns(Axis.X, ts, xs), AxisSeries._from_columns(Axis.Y, ts, ys)

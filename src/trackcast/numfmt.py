@@ -2,5 +2,6 @@
 
 
 def fixed6(value: float) -> str:
-    # round first so values that round to zero never render as -0.000000
-    return f"{round(value, 6) + 0.0:.6f}"
+    # a value that rounds to zero never renders as -0.000000
+    text = f"{value:.6f}"
+    return "0.000000" if text == "-0.000000" else text

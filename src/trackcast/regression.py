@@ -5,19 +5,19 @@ All exponential-family variants share one ordinary least squares fit on
 The sin/cos variants absorb their constant correction term into the
 intercept, b = c - sin(a) (resp. cos), so that the prediction form
 exp(a*t + b) + sin(a) reproduces the fitted log-line plus the correction.
-That line takes two passes over the window and builds no (t, ln v) pairs:
-one checks or clamps each value, takes its log and sums both columns, and
-``_line``, which ``fit_linear`` shares, sums the deviations from the means.
-Squares there are products, which IEEE 754 rounds correctly, not pow(),
-whose rounding depends on the C library.
+That line builds no (t, ln v) pairs: the values are checked or clamped
+and their logs taken, and ``_line``, which ``fit_linear`` shares, sums them
+and their products with the t deviations. Squares are products, which
+IEEE 754 rounds correctly, not pow(), whose rounding depends on the C library.
 The polynomial kind is the non-linear comparison baseline, fitted through
 polynomials orthogonal on the window's t. Their recurrence, their mapping
 back to raw-t powers and the conditioning guard's verdict depend on t alone,
-so that work is done once per t column and degree and kept in a module-level
-memo of the last column; both axes of a window, and every batch spec with
-the same frames, only take their values' dot products. The memo is shared by
-all threads: each fit reads the column and its table in one step, and a
-concurrent replacement at worst repeats the same factorization.
+as do a line's t mean and deviations, so that work is done once per t column
+(and degree) and kept in a module-level memo of the last column; both axes
+of a window, and every batch spec with the same frames, only take their
+values' sums and dot products. The memo is shared by all threads: each fit
+reads the column and its table in one step, and a concurrent replacement at
+worst repeats the same work.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from collections import namedtuple
 from collections.abc import Sequence
 from enum import Enum
 from math import fsum, isfinite
-from operator import mul
+from itertools import repeat
+from operator import eq, mul
 
 from .errors import (
     DegenerateAbscissaError,
@@ -125,59 +126,73 @@ LinearFit = namedtuple("LinearFit", "slope intercept")
 FitResult = namedtuple("FitResult", "kind a b coefficients n_points")
 
 
-def fit_linear(pairs: Sequence[tuple[float, float]]) -> LinearFit:
-    """Ordinary least squares line through (t, v) pairs."""
+def fit_linear(pairs: Sequence[tuple[float, float]] | AxisSeries) -> LinearFit:
+    """Ordinary least squares line through (t, v) pairs, or through the
+    columns of a series, whose t is already known to be in order."""
+    if pairs.__class__ is AxisSeries:
+        return _line(pairs._ts, pairs._vs)
     n = len(pairs)
     if n < 2:
         raise InsufficientDataError(f"linear fit needs at least 2 pairs, got {n}")
-    t0 = pairs[0][0]
-    if all(t == t0 for t, _ in pairs):
+    ts, vs = zip(*pairs)
+    if all(map(eq, ts, repeat(ts[0]))):
         raise DegenerateAbscissaError("all t values are equal; cannot fit a slope")
-    vs = []
-    st = sv = 0.0
-    for t, v in pairs:
-        vs.append(v)
-        st += t
-        sv += v
-    if st - st != 0.0:  # a NaN or infinite t, or a sum past the float range
-        for i, (t, _) in enumerate(pairs):
+    if not all(map(isfinite, ts)):
+        for i, t in enumerate(ts):
             if t - t != 0.0:
                 raise DegenerateAbscissaError(
                     f"t value {t!r} at sample {i} is not "
                     + ("a number" if t != t else "finite"))
-    return _line(pairs, vs, st, sv)
+    return _line(ts, vs)
 
 
-def _line(samples: Sequence[tuple[float, float]], vs: list[float], st: float,
-          sv: float) -> LinearFit:
-    """The least-squares line through the t of ``samples`` and ``vs``, given
-    the sums ``st`` and ``sv`` of both columns. The t values must be finite
-    and not all equal: ``fit_linear`` checks that, and a series' t is strictly
-    increasing. A t sum past the float range is refused; a value sum past it
-    is taken again over the values divided by the largest of them.
+def _line(ts: tuple[float, ...], vs: Sequence[float]) -> LinearFit:
+    """The least-squares line through the columns ``ts`` and ``vs``. The t
+    values must be finite and not all equal: ``fit_linear`` checks that, and
+    a series' t is strictly increasing. The t half comes from ``_t_only``;
+    a value sum past the float range is taken again over the values divided
+    by the largest of them.
 
     Every sum is a plain left-to-right one, as the builtin sum() gives it
     before CPython 3.12, which compensates float sums, and every square is
     the product d * d, never d ** 2, which calls the C library's pow() and
     some libraries round wrongly: the same bits on every version and platform.
     """
-    if st - st != 0.0:
-        raise DegenerateAbscissaError("the sum of the t values overflows")
+    t_mean, ds, s_tt = _t_only(ts, 0)
     n = len(vs)
-    t_mean = st / n
+    sv = 0.0
+    for v in vs:
+        sv += v
     v_mean = sv / n
     if sv - sv != 0.0 and all(map(isfinite, vs)):
         largest = max(map(abs, vs))
         v_mean = largest * (fsum([v / largest for v in vs]) / n)
-    s_tt = s_tv = 0.0
-    for (t, _), v in zip(samples, vs):
-        d = t - t_mean
-        s_tt += d * d
+    s_tv = 0.0
+    for d, v in zip(ds, vs):
         s_tv += d * (v - v_mean)
-    if s_tt == 0.0:
-        raise DegenerateAbscissaError("t values are numerically indistinguishable")
     slope = s_tv / s_tt
     return tuple.__new__(LinearFit, (slope, v_mean - slope * t_mean))
+
+
+def _center(ts: tuple[float, ...]) -> tuple | str:
+    """The t half of a least-squares line: the mean of ``ts``, the deviations
+    from it and the sum of their squares; or, for a t column it refuses, the
+    refusal message."""
+    st = 0.0
+    for t in ts:
+        st += t
+    if st - st != 0.0:
+        return "the sum of the t values overflows"
+    t_mean = st / len(ts)
+    ds = []
+    s_tt = 0.0
+    for t in ts:
+        d = t - t_mean
+        ds.append(d)
+        s_tt += d * d
+    if s_tt == 0.0:
+        return "t values are numerically indistinguishable"
+    return t_mean, ds, s_tt
 
 
 def fit_model(series: AxisSeries, kind: ModelKind, clamp_nonpositive: bool = False) -> FitResult:
@@ -190,8 +205,7 @@ def fit_model(series: AxisSeries, kind: ModelKind, clamp_nonpositive: bool = Fal
     series never changes. A DomainError is not kept, so each kind raises it
     under its own label.
     """
-    samples = series._samples
-    n = len(samples)
+    n = len(series._ts)
     family, degree = kind
     # kind.min_points, without the property call: the degree is 0 outside
     # the polynomial family, and a polynomial needs degree + 1 >= 2 samples.
@@ -202,9 +216,9 @@ def fit_model(series: AxisSeries, kind: ModelKind, clamp_nonpositive: bool = Fal
     a = b = 0.0
     coefficients: tuple[float, ...] = ()
     if family is _F_LINEAR:
-        a, b = fit_linear(samples)
+        a, b = fit_linear(series)
     elif family is _F_POLYNOMIAL:
-        coefficients = _fit_polynomial(samples, degree)
+        coefficients = _fit_polynomial(series._ts, series._vs, degree)
     else:
         a, c = _log_line(series, kind, clamp_nonpositive)
         b = c - _correction(family, a)
@@ -214,28 +228,27 @@ def fit_model(series: AxisSeries, kind: ModelKind, clamp_nonpositive: bool = Fal
 def _log_line(series: AxisSeries, kind: ModelKind, clamp_nonpositive: bool) -> LinearFit:
     """The least-squares line on (t, ln v), kept on the series per clamp value.
 
-    One pass checks or clamps each value, takes its log and sums both
-    columns; ``_line`` makes the second.
+    The values are checked or clamped and their logs taken; ``_line`` then
+    sums them and takes the t half from the memo.
     """
     line = series._log_line_clamped if clamp_nonpositive else series._log_line
     if line is not None:
         return line
-    samples = series._samples
-    logs = []
-    st = sv = 0.0
-    for t, v in samples:
-        if v <= 0.0:
-            if not clamp_nonpositive:
-                raise DomainError(
-                    f"non-positive value {v!r} at t={t!r} (sample {len(logs)}) "
-                    f"under {kind.label} fit"
-                )
-            v = CLAMP_FLOOR
-        v = math.log(v)
-        logs.append(v)
-        st += t
-        sv += v
-    line = _line(samples, logs, st, sv)
+    vs = series._vs
+    try:
+        logs = list(map(math.log, vs))
+    except ValueError:  # a value <= 0, which is refused or clamped
+        logs = []
+        for i, v in enumerate(vs):
+            if v <= 0.0:
+                if not clamp_nonpositive:
+                    raise DomainError(
+                        f"non-positive value {v!r} at t={series._ts[i]!r} (sample {i}) "
+                        f"under {kind.label} fit"
+                    )
+                v = CLAMP_FLOOR
+            logs.append(math.log(v))
+    line = _line(series._ts, logs)
     if clamp_nonpositive:
         series._log_line_clamped = line
     else:
@@ -243,36 +256,56 @@ def _log_line(series: AxisSeries, kind: ModelKind, clamp_nonpositive: bool) -> L
     return line
 
 
-# (ts, {degree: what _factor returned}) for the last t column a polynomial
-# fit saw; a fit on a different column replaces it.
+# (ts, {degree: what _factor returned, 0: what _center returned}) for the
+# last t column a fit saw; a fit on a different column replaces it.
 _factored: tuple = ((), {})
 
 
-def _fit_polynomial(samples: Sequence[tuple[float, float]], degree: int) -> tuple[float, ...]:
+def _t_only(ts: tuple[float, ...], degree: int) -> tuple:
+    """The t-only half of a fit on ``ts``, through the memo: ``_factor``'s
+    weight rows for a polynomial of ``degree``, or for degree 0 ``_center``'s
+    line half. A refused column raises its message."""
+    global _factored
+    memo_ts, table = _factored  # one read, so the column and its table agree
+    if memo_ts != ts:
+        table = {}
+        _factored = (ts, table)
+    found = table.get(degree)
+    if found is None:
+        found = table[degree] = _factor(ts, degree) if degree else _center(ts)
+    if found.__class__ is str:
+        raise DegenerateAbscissaError(found)
+    return found
+
+
+def _fit_polynomial(ts: tuple[float, ...], vs: tuple[float, ...],
+                    degree: int) -> tuple[float, ...]:
     """Least-squares polynomial in ascending powers of raw t.
 
     ``_factor`` gives, through the memo, one row of weights per coefficient,
     so each coefficient is one dot product with the values. ``math.fsum``
     rounds it correctly, so it has the same bits on every CPython version.
+    Only when a dot product passes the float range are they all taken again
+    over the values divided by the largest of them, then multiplied back.
     """
-    global _factored
-    ts, vs = zip(*samples)
-    memo_ts, table = _factored  # one read, so the column and its table agree
-    if memo_ts != ts:
-        table = {}
-        _factored = (ts, table)
-    factors = table.get(degree)
-    if factors is None:
-        factors = table[degree] = _factor(ts, degree)
-    if factors.__class__ is str:
-        raise DegenerateAbscissaError(factors)
+    factors = _t_only(ts, degree)
+    coefficients = _dots(factors, vs)
+    if coefficients is None:
+        largest = max(map(abs, vs))
+        coefficients = _dots(factors, [v / largest for v in vs], largest)
+        if coefficients is None:
+            raise FitOverflowError("polynomial coefficients pass the float range for these values")
+    return coefficients
+
+
+def _dots(rows, vs, scale: float = 1.0) -> tuple[float, ...] | None:
+    """``scale`` times the dot product of each row with ``vs``, or None when
+    one passes the float range."""
     try:
-        coefficients = tuple([fsum(map(mul, row, vs)) for row in factors])
-        if all(map(isfinite, coefficients)):
-            return coefficients
+        coefficients = tuple([scale * fsum(map(mul, row, vs)) for row in rows])
     except (OverflowError, ValueError):  # a partial sum past the float range, or inf - inf
-        pass
-    raise FitOverflowError("polynomial coefficients pass the float range for these values")
+        return None
+    return coefficients if all(map(isfinite, coefficients)) else None
 
 
 def _factor(ts: tuple[float, ...], degree: int) -> tuple | str:
@@ -370,16 +403,16 @@ def residual_rmse(fit: FitResult, series: AxisSeries) -> float:
     again divided by the largest of them, which bounds the result, so the
     RMSE stays finite; only a residual past the float range gives inf.
     """
-    samples = series.samples
-    if not samples:
+    ts, vs = series._ts, series._vs
+    if not ts:
         raise InsufficientDataError("cannot compute RMSE of an empty series")
-    n = len(samples)
+    n = len(ts)
     total = 0.0
-    for t, v in samples:
+    for t, v in zip(ts, vs):
         residual = predict(fit, t) - v
         total += residual * residual
     if total == math.inf:
-        residuals = [predict(fit, t) - v for t, v in samples]
+        residuals = [predict(fit, t) - v for t, v in zip(ts, vs)]
         m = max(map(abs, residuals))
         if m < math.inf:
             total = 0.0

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import namedtuple
-from operator import itemgetter
 
 from .errors import TrackcastError, ValidationError
 from .ingest import AxisSeries
@@ -57,8 +56,6 @@ class WindowConfig(namedtuple("WindowConfig", "length horizon")):
 
 PredictedEndpoint = namedtuple("PredictedEndpoint", "t_target x y defect")
 
-_T = itemgetter(0)
-
 
 def window(series: AxisSeries, config: WindowConfig, cutoff_t: float) -> AxisSeries:
     """Samples with t <= cutoff_t, keeping only the last ``length`` of them.
@@ -74,13 +71,13 @@ def window(series: AxisSeries, config: WindowConfig, cutoff_t: float) -> AxisSer
     kept = series._window
     if kept is not None and kept[0] == key:
         return kept[1]
-    samples = series._samples
+    ts = series._ts
     # A series' t is strictly increasing and never NaN, so bisecting on t
     # finds the end of the samples with t <= cutoff_t. No t is <= a NaN
     # cutoff, which bisection alone would read as past every sample.
-    end = bisect_right(samples, cutoff_t, key=_T) if cutoff_t == cutoff_t else 0
+    end = bisect_right(ts, cutoff_t) if cutoff_t == cutoff_t else 0
     start = 0 if config.length is None else max(0, end - config.length)
-    windowed = AxisSeries._ordered(series._axis, samples[start:end])
+    windowed = AxisSeries._from_columns(series._axis, ts[start:end], series._vs[start:end])
     series._window = (key, windowed)
     return windowed
 

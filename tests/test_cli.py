@@ -157,6 +157,18 @@ class TestFit:
         assert lines[1] == "a = 0.000000"
         assert float(lines[2][4:]) == 1e308
 
+    def test_polynomial_fit_of_values_near_the_float_limit(self, run_cli, tmp_path):
+        # The weighted sums of three boxes at 1.7e308 overflow; their fit does not.
+        stream = tmp_path / "near.jsonl"
+        stream.write_text(jsonl_stream(lambda t: 1.7e308, lambda t: 4.0, 3))
+        code, out, err = run_cli("fit", "--input", str(stream), "--axis", "x",
+                                 "--model", "poly2")
+        assert (code, err) == (0, "")
+        coefficients = out.splitlines()[1]
+        assert coefficients.startswith("coefficients = ")
+        c0, c1, c2 = map(float, coefficients[15:].split(","))
+        assert c0 == 1.7e308 and abs(c1) < 1e293 and abs(c2) < 1e293
+
     def test_csv_input(self, run_cli, tmp_path):
         stream = tmp_path / "stream.csv"
         rows = ["frame,left,top,width,height,confidence,label"]

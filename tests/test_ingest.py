@@ -31,6 +31,7 @@ from trackcast import (
     parse_detections,
     render_detections,
     select_per_frame,
+    synthesize,
     to_observation,
     window,
 )
@@ -589,7 +590,7 @@ class TestAxisSeriesContract:
         assert repr(series) == "AxisSeries(axis=<Axis.X: 'x'>, samples=((0.0, 1.0), (1.0, 2.5)))"
         assert hash(series) == hash((Axis.X, self.SAMPLES))
         fit_model(window(series, WindowConfig(), 5.0), EXPONENTIAL)  # fills the memos
-        twin = AxisSeries._ordered(Axis.X, self.SAMPLES)
+        twin = AxisSeries._from_columns(Axis.X, (0.0, 1.0), (1.0, 2.5))
         assert series == twin and hash(series) == hash(twin) and repr(series) == repr(twin)
         assert series != AxisSeries(Axis.Y, self.SAMPLES)
         assert series != AxisSeries(Axis.X, self.SAMPLES[:1])
@@ -603,6 +604,29 @@ class TestAxisSeriesContract:
             assert type(copied) is AxisSeries and copied == series
             assert copied._window is None  # a memo is not copied
 
+
+    def test_x_and_y_share_one_t_column(self):
+        xs, ys = build_series([EndpointObservation(float(t), t + 1.0, t + 2.0) for t in range(5)])
+        assert xs._ts is ys._ts
+        xs, ys = synthesize(SyntheticSpec(a_x=0.01, b_x=1.0, a_y=0.02, b_y=2.0, n_frames=7))
+        assert xs._ts is ys._ts and xs._ts == (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+
+    @pytest.mark.parametrize("pairs", [SAMPLES, ()], ids=["two", "empty"])
+    def test_samples_are_the_pairs_built_once(self, pairs):
+        series = AxisSeries(Axis.X, pairs)
+        first = series.samples
+        assert first == pairs and series.samples is first
+
+    def test_pair_built_and_column_built_agree(self):
+        by_pairs = AxisSeries(Axis.X, self.SAMPLES)
+        by_columns, _ = build_series([EndpointObservation(t, v, 0.0) for t, v in self.SAMPLES])
+        assert by_pairs == by_columns and hash(by_pairs) == hash(by_columns)
+        assert repr(by_pairs) == repr(by_columns)
+        for copied in (copy.copy(by_columns), copy.deepcopy(by_columns),
+                       pickle.loads(pickle.dumps(by_columns)), copy.copy(by_pairs)):
+            assert type(copied) is AxisSeries
+            assert copied == by_pairs == by_columns and hash(copied) == hash(by_pairs)
+            assert copied.samples == self.SAMPLES
 
 # Hostile values for one field of an otherwise plain record, as written in a
 # JSON line and in a CSV cell; None leaves the key out (JSONL) or the cell

@@ -34,6 +34,7 @@ from trackcast import (
     regression,
     residual_rmse,
     synthesize,
+    window,
 )
 
 EXP_FAMILY = (EXPONENTIAL, SIN_EXPONENTIAL, COS_EXPONENTIAL)
@@ -315,16 +316,27 @@ class TestFitModel:
         assert str(err.value) == "polynomial fit is ill-conditioned for these t values"
 
     @pytest.mark.parametrize("values", [
-        (1.7e308, -1.7e308, 1.7e308), (1.7e308, 1.7e308, 1.7e308), (0.0, 1.7e308, 0.0),
+        (1.7e308, -1.7e308, 1.7e308), (1.7e308, 1.79e308, -1.7e308), (0.0, 1.7e308, 0.0),
     ], ids=["partial_sum_overflows", "inf_minus_inf", "product_overflows"])
     def test_polynomial_coefficients_past_float_range_refused(self, values):
         # Finite values whose weighted sums leave the float range: fsum
         # raises OverflowError, or ValueError once two products overflow with
-        # opposite signs, or returns an infinite coefficient.
+        # opposite signs, or returns an infinite coefficient. The retry on the
+        # values divided by the largest still gives a coefficient past the
+        # range: exactly 3.4e308, 1.88e308 and 3.4e308.
         s = series(list(enumerate(values)))
         with pytest.raises(FitOverflowError) as err:
             fit_model(s, polynomial(2))
         assert str(err.value) == "polynomial coefficients pass the float range for these values"
+
+    def test_polynomial_of_values_near_the_float_limit(self):
+        # The weighted sums overflow, though the fit, 1.7e308 on every t, does
+        # not: the retry on the values divided by 1.7e308 fits it.
+        s = series([(t, 1.7e308) for t in range(3)])
+        c0, c1, c2 = fit_model(s, polynomial(2)).coefficients
+        assert c0 == 1.7e308 and abs(c1) < 1e293 and abs(c2) < 1e293
+        for t in range(3):
+            assert predict(fit_model(s, polynomial(2)), t) == pytest.approx(1.7e308, rel=1e-15)
 
     @pytest.mark.parametrize("kind", [LINEAR, *EXP_FAMILY], ids=lambda k: k.label)
     def test_t_sum_overflow_refused_by_every_line(self, kind):
@@ -374,13 +386,13 @@ def bits(call):
         return type(exc), str(exc)
 
 
-def fresh_bits(samples, degree):
-    """The bits of a polynomial fit factored afresh: the memo emptied first
-    and put back after, so the fit reads no earlier column's work."""
+def fresh_bits(s, degree):
+    """The bits of a polynomial fit of series ``s`` factored afresh: the memo
+    emptied first and put back after, so the fit reads no earlier column's work."""
     saved = regression._factored
     regression._factored = ((), {})
     try:
-        return bits(lambda: regression._fit_polynomial(samples, degree))
+        return bits(lambda: regression._fit_polynomial(s._ts, s._vs, degree))
     finally:
         regression._factored = saved
 
@@ -423,7 +435,7 @@ class TestPolynomialMemo:
             ys = series([(t, rng.gauss(100.0, 30.0)) for t in ts], Axis.Y)
             for degree in (2, 5, 2):
                 for s in (xs, ys):
-                    expected = fresh_bits(s.samples, degree)
+                    expected = fresh_bits(s, degree)
                     assert bits(lambda: fit_model(s, polynomial(degree)).coefficients) == expected
                     outcomes.add(expected[1] if expected[0] is DegenerateAbscissaError
                                  else "fitted")
@@ -460,7 +472,7 @@ class TestPolynomialMemo:
         columns = []
         for ts in (range(31), range(5, 26)):
             s = series([(t, rng.uniform(1.0, 50.0)) for t in ts])
-            columns.append([(s, degree, fresh_bits(s.samples, degree)) for degree in (2, 3, 5)])
+            columns.append([(s, degree, fresh_bits(s, degree)) for degree in (2, 3, 5)])
         assert all(expected[0].__class__ is bytes for column in columns
                    for _, _, expected in column)
         factor = regression._factor
@@ -532,9 +544,9 @@ class TestSharedLogLine:
         calls = []
         line = regression._line
 
-        def counted(samples, vs, st, sv):
+        def counted(ts, vs):
             calls.append(len(vs))
-            return line(samples, vs, st, sv)
+            return line(ts, vs)
 
         monkeypatch.setattr(regression, "_line", counted)
         return calls
@@ -548,6 +560,32 @@ class TestSharedLogLine:
                 assert fit_model(s, kind, clamp) == fit_model(series(values), kind, clamp)
         # the fresh copies fit 12 lines, the shared series one per clamp value
         assert len(calls) == 12 + 2
+
+    def test_t_half_once_per_column(self, monkeypatch):
+        # x then y of one window share the t half, for the log-line and the
+        # linear fit alike; a window of other frames computes its own.
+        calls = []
+        center = regression._center
+
+        def counted(ts):
+            calls.append(ts)
+            return center(ts)
+
+        monkeypatch.setattr(regression, "_center", counted)
+        monkeypatch.setattr(regression, "_factored", ((), {}))
+        xs, ys = synthesize(SyntheticSpec(a_x=0.01, b_x=2.0, a_y=0.02, b_y=3.0, n_frames=40))
+        config = WindowConfig(length=10)
+        for kind in (SIN_EXPONENTIAL, LINEAR):
+            for s in (xs, ys):
+                fit_model(window(s, config, 20.0), kind)
+        assert calls == [tuple(map(float, range(11, 21)))]
+        for s in (xs, ys):
+            fit_model(window(s, config, 25.0), EXPONENTIAL)
+        assert calls[1:] == [tuple(map(float, range(16, 26)))]
+        # A line through pairs takes the same path and the same memo.
+        assert fit_linear(list(zip(range(16, 26), ys._vs[16:26]))) == \
+            fit_model(window(ys, config, 25.0), LINEAR)[1:3]
+        assert len(calls) == 2
 
     def test_domain_error_names_each_kind(self):
         s = series([(t, 0.0 if t == 4 else t + 1.0) for t in range(8)])

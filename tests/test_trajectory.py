@@ -64,6 +64,33 @@ class TestWindow:
                         expected = expected[-length:]
                     assert window(s, WindowConfig(length=length), cutoff).samples == expected
 
+    def test_columns_match_a_pair_slicing_reference(self):
+        # Both columns are sliced alike, whether the x and y series share one t
+        # column (build_series) or the series was built from pairs.
+        rng = random.Random(9)
+        for _ in range(60):
+            n = rng.randint(0, 50)
+            ts = [t + rng.random() * 0.5 for t in sorted(rng.sample(range(-300, 300), n))]
+            obs = [EndpointObservation(t, rng.uniform(-9, 9), rng.uniform(-9, 9)) for t in ts]
+            pairs = {Axis.X: [(t, x) for t, x, _ in obs], Axis.Y: [(t, y) for t, _, y in obs]}
+            xs, ys = build_series(obs)
+            cutoffs = [math.inf, -math.inf, math.nan, rng.uniform(-400, 400)]
+            if n:
+                cutoffs.append(rng.choice(ts))
+            if n > 1:
+                i = rng.randrange(n - 1)
+                cutoffs.append((ts[i] + ts[i + 1]) / 2)
+            for cutoff in cutoffs:
+                length = rng.choice((None, 2, rng.randint(2, n + 3)))
+                for s in (xs, ys, AxisSeries(Axis.X, pairs[Axis.X])):
+                    expected = tuple(p for p in pairs[s.axis] if p[0] <= cutoff)
+                    if length is not None:
+                        expected = expected[-length:]
+                    windowed = window(s, WindowConfig(length=length), cutoff)
+                    assert windowed._ts == tuple(t for t, _ in expected)
+                    assert windowed._vs == tuple(v for _, v in expected)
+                    assert windowed.samples == expected
+
     def test_kept_window_is_never_stale(self):
         rng = random.Random(8)
         samples = tuple((float(t), rng.uniform(1, 9)) for t in range(0, 60, 2))
