@@ -89,7 +89,8 @@ class AxisSeries:
 
     axis = property(attrgetter("_axis"))
 
-    def __init__(self, axis: Axis, samples: Sequence[tuple[float, float]]) -> None:
+    def __init__(self, axis: Axis, samples: Iterable[tuple[float, float]]) -> None:
+        samples = tuple(samples)  # read once, so an iterator fills both columns
         ts = tuple([t for t, _ in samples])
         _require_increasing(axis, ts)
         self._axis, self._ts, self._vs = axis, ts, tuple([v for _, v in samples])

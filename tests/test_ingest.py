@@ -622,6 +622,7 @@ class TestAxisSeriesContract:
         by_columns, _ = build_series([EndpointObservation(t, v, 0.0) for t, v in self.SAMPLES])
         assert by_pairs == by_columns and hash(by_pairs) == hash(by_columns)
         assert repr(by_pairs) == repr(by_columns)
+        assert AxisSeries(Axis.X, iter(self.SAMPLES)) == by_pairs  # both columns filled
         for copied in (copy.copy(by_columns), copy.deepcopy(by_columns),
                        pickle.loads(pickle.dumps(by_columns)), copy.copy(by_pairs)):
             assert type(copied) is AxisSeries
