@@ -129,11 +129,12 @@ FitResult = namedtuple("FitResult", "kind a b coefficients n_points")
 def fit_linear(pairs: Sequence[tuple[float, float]] | AxisSeries) -> LinearFit:
     """Ordinary least squares line through (t, v) pairs, or through the
     columns of a series, whose t is already known to be in order."""
-    if pairs.__class__ is AxisSeries:
-        return _line(pairs._ts, pairs._vs)
-    n = len(pairs)
+    series = pairs.__class__ is AxisSeries
+    n = len(pairs._ts if series else pairs)
     if n < 2:
         raise InsufficientDataError(f"linear fit needs at least 2 pairs, got {n}")
+    if series:
+        return _line(pairs._ts, pairs._vs)
     ts, vs = zip(*pairs)
     if all(map(eq, ts, repeat(ts[0]))):
         raise DegenerateAbscissaError("all t values are equal; cannot fit a slope")

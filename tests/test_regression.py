@@ -132,6 +132,9 @@ class TestFitLinear:
     def test_too_few_pairs(self):
         with pytest.raises(InsufficientDataError):
             fit_linear([(0.0, 1.0)])
+        for samples in ((), ((0.0, 1.0),)):  # a series, fitted from its columns
+            with pytest.raises(InsufficientDataError):
+                fit_linear(AxisSeries(Axis.X, samples))
 
     def test_degenerate_abscissa(self):
         with pytest.raises(DegenerateAbscissaError):
