@@ -40,7 +40,6 @@ from .ingest import (
     Axis,
     AxisSeries,
     DetectionRecord,
-    EndpointObservation,
     StreamFormat,
     build_series,
     parse_detections,

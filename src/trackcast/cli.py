@@ -224,15 +224,12 @@ def cmd_plot(args) -> int:
         curve_ts = [float(t) for t in range(first, last + 1, stride)]
         if not curve_ts or curve_ts[-1] != t_target:
             curve_ts.append(t_target)
-        curve = tuple((t, predict(fit, t)) for t in curve_ts)
-        panels.append(
-            svgplot.Panel(
-                title=series.axis.value,
-                samples=windowed.samples,
-                curve=curve,
-                prediction=(t_target, predict(fit, t_target)),
-            )
-        )
+        curve_values = tuple([predict(fit, t) for t in curve_ts])
+        # The curve ends at the target, so its last value is the prediction.
+        panels.append(svgplot.Panel(
+            title=series.axis.value, ts=windowed._ts, values=windowed._vs,
+            curve_ts=tuple(curve_ts), curve_values=curve_values,
+            prediction=(t_target, curve_values[-1])))
     _write(args.out, svgplot.render_prediction_svg(panels[0], panels[1]))
     return 0
 

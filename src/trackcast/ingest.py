@@ -67,10 +67,6 @@ class DetectionRecord(namedtuple("DetectionRecord",
         return cls(*iterable)
 
 
-# A time-stamped center point (t, x, y) derived from one record.
-EndpointObservation = namedtuple("EndpointObservation", "t x y")
-
-
 class AxisSeries:
     """One coordinate axis over time: a t column and a value column.
 
@@ -106,6 +102,9 @@ class AxisSeries:
         series._samples = series._window = series._log_line = series._log_line_clamped = None
         return series
 
+    # Kept, with its cache, for the benchmark's tracer (bench/tracing.py), which
+    # reads it on every window: built each time, a traced stream_rolling round
+    # would build 1e5 pairs on each of some 500 windows. No library code reads it.
     @property
     def samples(self) -> tuple[tuple[float, float], ...]:
         samples = self._samples
@@ -128,17 +127,22 @@ class AxisSeries:
         return self.__class__, (self.axis, self.samples)
 
 
+# The least int float() cannot convert. -FLOAT_END < t < FLOAT_END compares
+# exactly, and holds for every finite float and for no int past the float range.
+FLOAT_END = 2**1024 - 2**970
+
+
 def _require_increasing(axis: Axis, ts: Sequence[float]) -> None:
-    """Raise OrderingError at the first t that is NaN, infinite or not above
-    the one before it. A NaN compares false with every t, so a series holding
-    one has no order for ``trajectory.window`` to bisect; an infinite t makes
-    every fit's mean infinite. A strictly increasing column can hold -inf
-    only first and +inf only last, so its two ends are all the test reads
-    beyond the pairwise order, which it checks at C speed; the loop only
-    names the fault."""
-    if not all(map(lt, ts, ts[1:])) or ts and not (-_INF < ts[0] and ts[-1] < _INF):
+    """Raise OrderingError at the first t that is NaN, infinite, an int past
+    the float range or not above the one before it. A NaN compares false with
+    every t, so a series holding one has no order for ``trajectory.window`` to
+    bisect; the others make every fit's mean infinite or raise OverflowError.
+    A NaN breaks the pairwise order, which the test checks at C speed, and a
+    strictly increasing column holds the others only at its ends, so those
+    are all it reads beyond that order; the loop only names the fault."""
+    if not all(map(lt, ts, ts[1:])) or ts and not (-FLOAT_END < ts[0] and ts[-1] < FLOAT_END):
         for i, t in enumerate(ts):
-            if t - t != 0.0:
+            if not -FLOAT_END < t < FLOAT_END:
                 raise OrderingError(f"{axis.value} series t value {t!r} at sample {i} is not "
                                     + ("a number" if t != t else "finite"))
             if i and not ts[i - 1] < t:
@@ -391,17 +395,14 @@ def select_per_frame(records: list[DetectionRecord]) -> list[DetectionRecord]:
     return [best[frame] for frame in sorted(best)]
 
 
-def to_observation(record: DetectionRecord) -> EndpointObservation:
-    """Center point of the box on the frame-index time axis."""
+def to_observation(record: DetectionRecord) -> tuple[float, float, float]:
+    """The (t, x, y) center point of the box on the frame-index time axis."""
     frame, left, top, width, height, _, _ = record
-    # An observation checks nothing, so it is built without the Python-level
-    # __new__ that namedtuple generates.
-    return tuple.__new__(EndpointObservation,
-                         (float(frame), left + width / 2.0, top + height / 2.0))
+    return float(frame), left + width / 2.0, top + height / 2.0
 
 
-def build_series(observations: list[EndpointObservation]) -> tuple[AxisSeries, AxisSeries]:
-    """Split observations into an X and a Y series that share one t column."""
+def build_series(observations: list[tuple[float, float, float]]) -> tuple[AxisSeries, AxisSeries]:
+    """Split (t, x, y) triples into an X and a Y series that share one t column."""
     ts, xs, ys = zip(*observations) if observations else ((), (), ())
     _require_increasing(Axis.X, ts)  # the t column both series share, checked once
     return AxisSeries._from_columns(Axis.X, ts, xs), AxisSeries._from_columns(Axis.Y, ts, ys)

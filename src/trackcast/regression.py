@@ -2,9 +2,9 @@
 
 All exponential-family variants share one ordinary least squares fit on
 (t, ln v): the slope is the growth coefficient a and the raw intercept c.
-The sin/cos variants absorb their constant correction term into the
-intercept, b = c - sin(a) (resp. cos), so that the prediction form
-exp(a*t + b) + sin(a) reproduces the fitted log-line plus the correction.
+The sin/cos variants set b = c - sin(a) (resp. cos) and predict
+exp(a*t + b) + sin(a) = exp(a*t + c) * e^(-sin a) + sin(a): the fitted curve
+scaled by e^(-sin a), plus the correction (ROADMAP.md item 2 would fit this form).
 That line builds no (t, ln v) pairs: the values are checked or clamped
 and their logs taken, and ``_line``, which ``fit_linear`` shares, sums them
 and their products with the t deviations. Squares are products, which
@@ -38,7 +38,7 @@ from .errors import (
     PredictionRangeError,
     ValidationError,
 )
-from .ingest import MAX_FRAME, AxisSeries
+from .ingest import FLOAT_END, MAX_FRAME, AxisSeries
 
 # Opt-in replacement for non-positive values under exponential-family fits.
 CLAMP_FLOOR = 1e-9
@@ -128,30 +128,21 @@ FitResult = namedtuple("FitResult", "kind a b coefficients n_points")
 
 def fit_linear(pairs: Sequence[tuple[float, float]] | AxisSeries) -> LinearFit:
     """Ordinary least squares line through (t, v) pairs, or through the
-    columns of a series, whose t is already known to be in order."""
-    series = pairs.__class__ is AxisSeries
-    n = len(pairs._ts if series else pairs)
+    columns of a series."""
+    if pairs.__class__ is AxisSeries:
+        ts, vs = pairs._ts, pairs._vs
+    else:
+        ts, vs = zip(*pairs) if pairs else ((), ())
+    n = len(ts)
     if n < 2:
         raise InsufficientDataError(f"linear fit needs at least 2 pairs, got {n}")
-    if series:
-        return _line(pairs._ts, pairs._vs)
-    ts, vs = zip(*pairs)
-    if all(map(eq, ts, repeat(ts[0]))):
-        raise DegenerateAbscissaError("all t values are equal; cannot fit a slope")
-    if not all(map(isfinite, ts)):
-        for i, t in enumerate(ts):
-            if t - t != 0.0:
-                raise DegenerateAbscissaError(
-                    f"t value {t!r} at sample {i} is not "
-                    + ("a number" if t != t else "finite"))
     return _line(ts, vs)
 
 
 def _line(ts: tuple[float, ...], vs: Sequence[float]) -> LinearFit:
     """The least-squares line through the columns ``ts`` and ``vs``. The t
-    values must be finite and not all equal: ``fit_linear`` checks that, and
-    a series' t is strictly increasing. The t half comes from ``_t_only``;
-    a value sum past the float range is taken again over the values divided
+    half comes from ``_t_only``, which refuses a t column with no slope; a
+    value sum past the float range is taken again over the values divided
     by the largest of them.
 
     Every sum is a plain left-to-right one, as the builtin sum() gives it
@@ -178,11 +169,21 @@ def _line(ts: tuple[float, ...], vs: Sequence[float]) -> LinearFit:
 def _center(ts: tuple[float, ...]) -> tuple | str:
     """The t half of a least-squares line: the mean of ``ts``, the deviations
     from it and the sum of their squares; or, for a t column it refuses, the
-    refusal message."""
+    refusal message. The equal test stops at the second t of an increasing
+    column, and a t that is NaN, infinite or an int past the float range is
+    sought only when the t sum is not finite, which any such t makes it."""
+    if all(map(eq, ts, repeat(ts[0]))):
+        return "all t values are equal; cannot fit a slope"
     st = 0.0
-    for t in ts:
-        st += t
+    try:
+        for t in ts:
+            st += t
+    except OverflowError:  # an int past the float range
+        st = math.inf
     if st - st != 0.0:
+        for i, t in enumerate(ts):
+            if not -FLOAT_END < t < FLOAT_END:
+                return f"t value {t!r} at sample {i} is not " + ("a number" if t != t else "finite")
         return "the sum of the t values overflows"
     t_mean = st / len(ts)
     ds = []

@@ -23,8 +23,9 @@ CURVE_STYLE = 'class="curve" fill="none" stroke="#1f77b4" stroke-width="1.5"'
 PREDICTION_STYLE = 'class="prediction" r="5" fill="none" stroke="#d62728" stroke-width="2"'
 
 
-# One axis panel: observed samples, fitted curve, predicted point.
-Panel = namedtuple("Panel", "title samples curve prediction")
+# One axis panel: the observed samples and the fitted curve, each as a t
+# column and a value column, and the predicted (t, value) point.
+Panel = namedtuple("Panel", "title ts values curve_ts curve_values prediction")
 
 
 def _span(values: list[float]) -> tuple[float, float]:
@@ -34,12 +35,8 @@ def _span(values: list[float]) -> tuple[float, float]:
 
 
 def _panel_svg(panel: Panel, y_offset: int) -> list[str]:
-    t_lo, t_hi = _span(
-        [t for t, _ in panel.samples] + [t for t, _ in panel.curve] + [panel.prediction[0]]
-    )
-    v_lo, v_hi = _span(
-        [v for _, v in panel.samples] + [v for _, v in panel.curve] + [panel.prediction[1]]
-    )
+    t_lo, t_hi = _span([*panel.ts, *panel.curve_ts, panel.prediction[0]])
+    v_lo, v_hi = _span([*panel.values, *panel.curve_values, panel.prediction[1]])
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = PANEL_HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
@@ -78,10 +75,10 @@ def _panel_svg(panel: Panel, y_offset: int) -> list[str]:
         f'<text x="{MARGIN_LEFT - 4}" y="{top + 10}" font-family="monospace" '
         f'font-size="10" text-anchor="end">{fixed6(v_hi)}</text>'
     )
-    if panel.curve:
-        points = " ".join(f"{px(t)},{py(v)}" for t, v in panel.curve)
+    if panel.curve_ts:
+        points = " ".join(f"{px(t)},{py(v)}" for t, v in zip(panel.curve_ts, panel.curve_values))
         out.append(f'<polyline {CURVE_STYLE} points="{points}"/>')
-    for t, v in panel.samples:
+    for t, v in zip(panel.ts, panel.values):
         out.append(f'<circle {SAMPLE_STYLE} cx="{px(t)}" cy="{py(v)}"/>')
     pt, pv = panel.prediction
     out.append(f'<circle {PREDICTION_STYLE} cx="{px(pt)}" cy="{py(pv)}"/>')

@@ -172,6 +172,23 @@ HOSTILE_CSV.update({
     "non_utf8": (CSV_HEADER + "\n0,1,1,4,4,1,\xff\n").encode("latin-1"),
 })
 
+
+def _boxes(lefts, width=4.0, top=1.0, height=4.0):
+    return "".join(f'{{"frame": {frame}, "left": {left}, "top": {top}, "width": {width}, '
+                   f'"height": {height}}}\n' for frame, left in enumerate(lefts)).encode()
+
+
+# Boxes near the float limit, named for the path each reaches: a value sum,
+# residual squares or polynomial dot products that overflow and are taken again
+# over scaled values, coefficients that still overflow, and box centers that do.
+FLOAT_LIMIT = {
+    "limit_1e308.jsonl": _boxes(["1e308"] * 3),
+    "limit_1.7e308.jsonl": _boxes(["1.7e308"] * 3),
+    "limit_alternating.jsonl": _boxes(["1.7e308", "-1.7e308", "1.7e308"]),
+    "limit_center_x.jsonl": _boxes(["1.7e308"] * 3, width="1.7e308"),
+    "limit_center_y.jsonl": _boxes(["1.0"] * 3, top="1.7e308", height="1.7e308"),
+}
+
 SPECS = {
     "growth.spec": "a_x = 0.01\nb_x = 2\na_y = 0.005\nb_y = 3\nn_frames = 100\nseed = 7\n",
     "constant.spec": "a_x = 0\nb_x = 1\na_y = 0\nb_y = 1\nn_frames = 20\n",
@@ -206,6 +223,7 @@ def write_inputs(root: Path) -> None:
         **{f"hostile_{name}.jsonl": data for name, data in HOSTILE_JSONL.items()},
         **{f"hostile_{name}.csv": data for name, data in HOSTILE_CSV.items()},
         **{name: text.encode() for name, text in SPECS.items()},
+        **FLOAT_LIMIT,
     }
     for name, data in files.items():
         (root / name).write_bytes(data)
@@ -319,6 +337,10 @@ def cases():
                  ["predict", *src, "--horizon", "0"], ["compare", *src, "--horizon", "-5"],
                  ["fit", *src, "--axis", "x", "--model", " POLY3 "]):
         add(argv)
+    for stream, model in (("limit_1e308.jsonl", "linear"), ("limit_1e308.jsonl", "exp"),
+                          ("limit_1.7e308.jsonl", "poly2"), ("limit_alternating.jsonl", "poly2"),
+                          ("limit_center_x.jsonl", "sinexp"), ("limit_center_y.jsonl", "linear")):
+        add(["fit", "--input", stream, "--axis", "x", "--model", model])
     return out
 
 

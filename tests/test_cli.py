@@ -628,3 +628,28 @@ def test_start_up_imports_no_thread_pool():
              f"import {module}, sys; print([m for m in {heavy!r} if m in sys.modules])"],
             env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
         assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", ""), module
+
+
+def test_commands_build_no_pairs(growth_spec, tmp_path, capsys, monkeypatch):
+    # Every command works on the series' columns: with the (t, value) pair view
+    # made to raise, each writes the same bytes and exits the same.
+    stream = tmp_path / "stream.jsonl"
+    assert main(["simulate", "--spec", str(growth_spec), "--out", str(stream)]) == 0
+    src = ["--input", str(stream)]
+    commands = [["simulate", "--spec", str(growth_spec)], ["fit", *src, "--axis", "y"],
+                ["predict", *src, "--cutoff", "60", "--region", "0,0,10,10"],
+                ["compare", *src, "--cutoff", "30"],
+                ["plot", *src, "--cutoff", "60", "--model", "poly3", "--out", "-"]]
+
+    def outputs():
+        return [(main(argv), capsys.readouterr()) for argv in commands]
+
+    expected = outputs()
+
+    def no_pairs(series):
+        raise AssertionError("the pairs of a series were built")
+
+    monkeypatch.setattr(trackcast.AxisSeries, "samples", property(no_pairs))
+    assert outputs() == expected
+    assert [(code, bool(out), err) for code, (out, err) in expected] == [
+        (0, True, ""), (0, True, ""), (3, True, ""), (0, True, ""), (0, True, "")]

@@ -12,7 +12,6 @@ from trackcast import (
     Axis,
     AxisSeries,
     DetectionRecord,
-    EndpointObservation,
     ErrorReport,
     FitResult,
     LinearFit,
@@ -390,17 +389,12 @@ class TestToObservation:
         ],
     )
     def test_center_definition(self, record, expected):
-        obs = to_observation(record)
-        assert (obs.t, obs.x, obs.y) == expected
+        assert to_observation(record) == expected
 
 
 class TestBuildSeries:
     def test_split(self):
-        from trackcast import EndpointObservation
-
-        xs, ys = build_series(
-            [EndpointObservation(0, 12, 23), EndpointObservation(2, 13, 22)]
-        )
+        xs, ys = build_series([(0, 12, 23), (2, 13, 22)])
         assert xs.axis is Axis.X
         assert xs.samples == ((0.0, 12.0), (2.0, 13.0))
         assert ys.samples == ((0.0, 23.0), (2.0, 22.0))
@@ -410,18 +404,14 @@ class TestBuildSeries:
         assert xs.samples == () and ys.samples == ()
 
     def test_duplicate_t_rejected(self):
-        from trackcast import EndpointObservation
-
         with pytest.raises(OrderingError):
-            build_series([EndpointObservation(1, 5, 5), EndpointObservation(1, 6, 6)])
+            build_series([(1, 5, 5), (1, 6, 6)])
 
     def test_preserves_t_values(self):
-        from trackcast import EndpointObservation
-
-        obs = [EndpointObservation(float(t), t * 2.0, t * 3.0) for t in (0, 2, 5, 9)]
+        obs = [(float(t), t * 2.0, t * 3.0) for t in (0, 2, 5, 9)]
         xs, ys = build_series(obs)
-        assert [t for t, _ in xs.samples] == [o.t for o in obs]
-        assert [t for t, _ in ys.samples] == [o.t for o in obs]
+        assert [t for t, _ in xs.samples] == [o[0] for o in obs]
+        assert [t for t, _ in ys.samples] == [o[0] for o in obs]
 
 
 class TestRecordInvariants:
@@ -436,7 +426,7 @@ class TestRecordInvariants:
     @pytest.mark.parametrize("fmt", list(StreamFormat))
     def test_frame_limit_is_exact_float(self, fmt):
         ok = DetectionRecord(2**53, 0, 0, 1, 1)
-        assert to_observation(ok).t == 2**53
+        assert to_observation(ok)[0] == 2**53
         too_big = render_detections([ok], fmt).replace(str(2**53), str(2**53 + 1))
         with pytest.raises(ValidationError) as err:
             parse_detections(too_big, fmt)
@@ -469,7 +459,6 @@ class TestRecordContract:
             "DetectionRecord(frame_index=0, left=10.0, top=20.0, width=4.0, height=6.0, "
             "confidence=0.9, label='rebar_endpoint')"
         )
-        assert repr(EndpointObservation(1.0, 2.0, 3.0)) == "EndpointObservation(t=1.0, x=2.0, y=3.0)"
 
     def test_defaults(self):
         record = DetectionRecord(3, 1, 2, 3, 4)
@@ -480,7 +469,7 @@ class TestRecordContract:
         assert record == (3, 1.0, 2.0, 3.0, 4.0, 0.5, "tip")
         t, x, y = to_observation(record)
         assert (t, x, y) == (3.0, 2.5, 4.0)
-        assert type(to_observation(record)) is EndpointObservation
+        assert type(to_observation(record)) is tuple
 
     def test_replace_checks_invariants(self):
         record = DetectionRecord(3, 1, 2, 3, 4)
@@ -529,7 +518,7 @@ CHECKED_VALUES = (ModelKind(ModelFamily.POLYNOMIAL, 2), Region(0.0, 1.0, 0.0, 1.
 VALUES = (*CHECKED_VALUES, LinearFit(1.0, 2.0), FitResult(LINEAR, 1.0, 2.0, (), 3),
           PredictedEndpoint(60.0, 1.0, 2.0, False),
           ErrorReport(LINEAR, 1.0, 2.0, 60.0, (1.0, 2.0), (1.0, 2.0)),
-          Panel("x", ((0.0, 1.0),), (), (1.0, 2.0)), EndpointObservation(1.0, 2.0, 3.0))
+          Panel("x", (0.0,), (1.0,), (), (), (1.0, 2.0)))
 
 
 class TestValueTypes:
@@ -606,7 +595,7 @@ class TestAxisSeriesContract:
 
 
     def test_x_and_y_share_one_t_column(self):
-        xs, ys = build_series([EndpointObservation(float(t), t + 1.0, t + 2.0) for t in range(5)])
+        xs, ys = build_series([(float(t), t + 1.0, t + 2.0) for t in range(5)])
         assert xs._ts is ys._ts
         xs, ys = synthesize(SyntheticSpec(a_x=0.01, b_x=1.0, a_y=0.02, b_y=2.0, n_frames=7))
         assert xs._ts is ys._ts and xs._ts == (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
@@ -619,7 +608,7 @@ class TestAxisSeriesContract:
 
     def test_pair_built_and_column_built_agree(self):
         by_pairs = AxisSeries(Axis.X, self.SAMPLES)
-        by_columns, _ = build_series([EndpointObservation(t, v, 0.0) for t, v in self.SAMPLES])
+        by_columns, _ = build_series([(t, v, 0.0) for t, v in self.SAMPLES])
         assert by_pairs == by_columns and hash(by_pairs) == hash(by_columns)
         assert repr(by_pairs) == repr(by_columns)
         assert AxisSeries(Axis.X, iter(self.SAMPLES)) == by_pairs  # both columns filled
@@ -817,7 +806,7 @@ class TestOrderingCheck:
                 assert got.samples == samples
             else:
                 assert got == expected
-        observations = [EndpointObservation(t, float(i), -float(i)) for i, t in enumerate(ts)]
+        observations = [(t, float(i), -float(i)) for i, t in enumerate(ts)]
         built = outcome(build_series, observations)
         expected = ordering_reference(Axis.X, samples)  # the shared t column names x
         if expected is None:
@@ -827,6 +816,20 @@ class TestOrderingCheck:
             assert ys.samples == tuple((t, -float(i)) for i, t in enumerate(ts))
         else:
             assert built == expected
+
+    @pytest.mark.parametrize("ts, at", [
+        ((0, 10**400), 1), ((-10**400, 0), 0), ((0.0, 1.0, ingest.FLOAT_END), 2),
+        ((-ingest.FLOAT_END,), 0),
+    ], ids=["last", "first", "least_past_range", "alone"])
+    def test_int_t_past_float_range_refused(self, ts, at):
+        # float() cannot convert such a t, so every fit of the series would raise
+        # OverflowError; it is refused where it enters, as an infinite t is.
+        message = f"x series t value {ts[at]!r} at sample {at} is not finite"
+        samples = tuple((t, 1.0) for t in ts)
+        assert outcome(lambda: AxisSeries(Axis.X, samples)) == (OrderingError, message)
+        assert outcome(build_series, [(t, 1.0, 2.0) for t in ts]) == (OrderingError, message)
+        largest = ingest.FLOAT_END - 1  # float() rounds it to the largest float
+        assert AxisSeries(Axis.X, ((-largest, 1.0), (0, 2.0), (largest, 3.0)))._ts[-1] == largest
 
     def test_build_series_of_nothing(self):
         xs, ys = build_series([])

@@ -159,6 +159,16 @@ class TestFitLinear:
         with pytest.raises(DegenerateAbscissaError, match=f"^{message}$"):
             fit_linear(pairs)
 
+    @pytest.mark.parametrize("pairs, at", [
+        ([(10**400, 1.0), (10**400 + 1, 2.0)], 0),
+        ([(0, 1.0), (1, 2.0), (-10**400, 4.0)], 2),
+        ([(0.0, 1.0), (2**1024 - 2**970, 2.0)], 1),
+    ], ids=["both", "last", "least_past_range"])
+    def test_int_t_past_float_range_refused(self, pairs, at):
+        with pytest.raises(DegenerateAbscissaError) as err:
+            fit_linear(pairs)
+        assert str(err.value) == f"t value {pairs[at][0]!r} at sample {at} is not finite"
+
     def test_value_sum_past_float_range(self):
         # The value sum is inf; the mean of the values divided by the largest
         # is not, so the line is the constant the values hold.

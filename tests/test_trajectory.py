@@ -9,7 +9,6 @@ from trackcast import (
     Axis,
     AxisSeries,
     DomainError,
-    EndpointObservation,
     OrderingError,
     Region,
     ValidationError,
@@ -71,7 +70,7 @@ class TestWindow:
         for _ in range(60):
             n = rng.randint(0, 50)
             ts = [t + rng.random() * 0.5 for t in sorted(rng.sample(range(-300, 300), n))]
-            obs = [EndpointObservation(t, rng.uniform(-9, 9), rng.uniform(-9, 9)) for t in ts]
+            obs = [(t, rng.uniform(-9, 9), rng.uniform(-9, 9)) for t in ts]
             pairs = {Axis.X: [(t, x) for t, x, _ in obs], Axis.Y: [(t, y) for t, _, y in obs]}
             xs, ys = build_series(obs)
             cutoffs = [math.inf, -math.inf, math.nan, rng.uniform(-400, 400)]
@@ -116,7 +115,7 @@ class TestWindow:
         with pytest.raises(OrderingError, match=r"t value nan at sample \d is not a number"):
             AxisSeries(Axis.X, samples)
         with pytest.raises(OrderingError, match=r"t value nan at sample \d is not a number"):
-            build_series([EndpointObservation(t, 2.0, 3.0) for t in ts])
+            build_series([(t, 2.0, 3.0) for t in ts])
 
 
 class TestGate:
