@@ -38,7 +38,8 @@ class DegenerateAbscissaError(FitError):
 
 
 class DomainError(FitError):
-    """A non-positive value appeared under an exponential-family fit."""
+    """A value that is NaN, infinite or an int past the float range, or a
+    non-positive one under an exponential-family fit."""
 
 
 class FitOverflowError(FitError):

@@ -33,7 +33,7 @@ from .errors import (
     UndefinedReferenceError,
     ValidationError,
 )
-from .ingest import Axis, AxisSeries
+from .ingest import Axis, AxisSeries, CheckedTuple
 from .numfmt import fixed6
 from .regression import (
     COS_EXPONENTIAL,
@@ -67,8 +67,8 @@ class Variant(Enum):
     SIN_EXPONENTIAL = "sin_exponential"
 
 
-class SyntheticSpec(namedtuple("SyntheticSpec", "a_x b_x a_y b_y variant n_frames noise_sigma "
-                                                "shake_prob shake_scale seed")):
+class SyntheticSpec(CheckedTuple, namedtuple("SyntheticSpec", "a_x b_x a_y b_y variant "
+                                             "n_frames noise_sigma shake_prob shake_scale seed")):
     """Seeded generator parameters for one oracle trajectory."""
 
     __slots__ = ()
@@ -89,10 +89,6 @@ class SyntheticSpec(namedtuple("SyntheticSpec", "a_x b_x a_y b_y variant n_frame
             raise ValidationError("seed must be an unsigned 64-bit integer")
         return tuple.__new__(cls, (a_x, b_x, a_y, b_y, variant, n_frames, noise_sigma,
                                    shake_prob, shake_scale, seed))
-
-    @classmethod
-    def _make(cls, iterable) -> "SyntheticSpec":
-        return cls(*iterable)
 
 
 def error_rate(predicted: float, actual: float) -> float:
@@ -166,19 +162,16 @@ def _synth_axis(axis: Axis, a: float, b: float, spec: SyntheticSpec, rng: random
     sigma, shake_prob, shake_scale = spec.noise_sigma, spec.shake_prob, spec.shake_scale
     values = []
     for t in ts:
+        # 1 - random() keeps the log argument in (0, 1].
+        u1 = 1.0 - uniform()
+        u2 = uniform()
+        noise = sqrt(-2.0 * log(u1)) * cos(two_pi * u2)
+        shake_decision = uniform()
+        shake_offset = shake_scale * (2.0 * uniform() - 1.0)
         try:
-            base = exp(a * t + b) + offset
-            # 1 - random() keeps the log argument in (0, 1].
-            u1 = 1.0 - uniform()
-            u2 = uniform()
-            noise = sqrt(-2.0 * log(u1)) * cos(two_pi * u2)
-            shake_decision = uniform()
-            shake_offset = shake_scale * (2.0 * uniform() - 1.0)
-            value = base * exp(sigma * noise)
-        except OverflowError:
-            raise GenerationError(
-                f"generated value overflows at frame {int(t)} on the {axis.value} axis"
-            ) from None
+            value = (exp(a * t + b) + offset) * exp(sigma * noise)
+        except OverflowError:  # refused below, as is a product that overflows to inf
+            value = math.inf
         if shake_decision < shake_prob:
             value += shake_offset
         if not isfinite(value):

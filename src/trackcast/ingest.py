@@ -35,9 +35,23 @@ _NUMBER_KEYS = CSV_HEADER[1:6]
 # Above 2**53 not every integer is a float, so a frame would lose its exact time.
 MAX_FRAME = 2**53
 
+# The least int float() cannot convert. -FLOAT_END < v < FLOAT_END compares
+# exactly, and holds for every finite float and for no int past the float range.
+FLOAT_END = 2**1024 - 2**970
 
-class DetectionRecord(namedtuple("DetectionRecord",
-                                 "frame_index left top width height confidence label")):
+
+class CheckedTuple:
+    """Base of the checked named tuples: ``_make``, which ``_replace`` calls, runs ``__new__``."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class DetectionRecord(CheckedTuple, namedtuple(
+        "DetectionRecord", "frame_index left top width height confidence label")):
     """One raw bounding box as emitted by an upstream detector.
 
     The box is (left, top, width, height) in pixels; ``confidence`` is the
@@ -62,10 +76,6 @@ class DetectionRecord(namedtuple("DetectionRecord",
             return tuple.__new__(cls, (frame_index, left, top, width, height, confidence, label))
         raise ValidationError(f"invalid value for '{bad}'")
 
-    @classmethod
-    def _make(cls, iterable) -> "DetectionRecord":
-        return cls(*iterable)
-
 
 class AxisSeries:
     """One coordinate axis over time: a t column and a value column.
@@ -85,12 +95,11 @@ class AxisSeries:
 
     axis = property(attrgetter("_axis"))
 
-    def __init__(self, axis: Axis, samples: Iterable[tuple[float, float]]) -> None:
+    def __new__(cls, axis: Axis, samples: Iterable[tuple[float, float]]) -> "AxisSeries":
         samples = tuple(samples)  # read once, so an iterator fills both columns
         ts = tuple([t for t, _ in samples])
         _require_increasing(axis, ts)
-        self._axis, self._ts, self._vs = axis, ts, tuple([v for _, v in samples])
-        self._samples = self._window = self._log_line = self._log_line_clamped = None
+        return cls._from_columns(axis, ts, tuple([v for _, v in samples]))
 
     @classmethod
     def _from_columns(cls, axis: Axis, ts: tuple[float, ...],
@@ -125,11 +134,6 @@ class AxisSeries:
 
     def __reduce__(self):  # copy and pickle rebuild the fields; the memos start empty
         return self.__class__, (self.axis, self.samples)
-
-
-# The least int float() cannot convert. -FLOAT_END < t < FLOAT_END compares
-# exactly, and holds for every finite float and for no int past the float range.
-FLOAT_END = 2**1024 - 2**970
 
 
 def _require_increasing(axis: Axis, ts: Sequence[float]) -> None:
@@ -304,19 +308,10 @@ def _checked_record(line_no: int, frame, left, top, width, height, confidence,
     if type(frame) is not int:  # JSON decodes no int subclass but bool
         raise ParseError(f"line {line_no}: value for 'frame' must be an integer")
     for key, value in zip(_NUMBER_KEYS, (left, top, width, height, confidence)):
-        kind = type(value)
-        if kind is float:
-            if value - value == 0.0:  # nan and +-inf give nan
-                continue
-        elif kind is int:  # bool is not a number here
-            try:
-                float(value)
-                continue
-            except OverflowError:  # an integer beyond the float range
-                pass
-        else:
+        if type(value) is not float and type(value) is not int:  # bool is not a number here
             raise ParseError(f"line {line_no}: value for '{key}' must be a number")
-        raise ParseError(f"line {line_no}: value for '{key}' must be finite")
+        if not -FLOAT_END < value < FLOAT_END:  # NaN, an infinity, an int past the float range
+            raise ParseError(f"line {line_no}: value for '{key}' must be finite")
     if not isinstance(label, str):
         raise ParseError(f"line {line_no}: value for 'label' must be a string")
     try:

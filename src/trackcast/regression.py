@@ -38,7 +38,7 @@ from .errors import (
     PredictionRangeError,
     ValidationError,
 )
-from .ingest import FLOAT_END, MAX_FRAME, AxisSeries
+from .ingest import FLOAT_END, MAX_FRAME, AxisSeries, CheckedTuple
 
 # Opt-in replacement for non-positive values under exponential-family fits.
 CLAMP_FLOOR = 1e-9
@@ -62,7 +62,7 @@ class ModelFamily(Enum):
 _F_LINEAR, _F_EXPONENTIAL, _F_SIN_EXPONENTIAL, _F_COS_EXPONENTIAL, _F_POLYNOMIAL = ModelFamily
 
 
-class ModelKind(namedtuple("ModelKind", "family degree")):
+class ModelKind(CheckedTuple, namedtuple("ModelKind", "family degree")):
     """A model selector: family plus degree for the polynomial baseline."""
 
     __slots__ = ()
@@ -76,10 +76,6 @@ class ModelKind(namedtuple("ModelKind", "family degree")):
         elif degree != 0:
             raise ValidationError(f"{family.value} takes no degree")
         return tuple.__new__(cls, (family, degree))
-
-    @classmethod
-    def _make(cls, iterable) -> "ModelKind":
-        return cls(*iterable)
 
     @property
     def label(self) -> str:
@@ -142,8 +138,7 @@ def fit_linear(pairs: Sequence[tuple[float, float]] | AxisSeries) -> LinearFit:
 def _line(ts: tuple[float, ...], vs: Sequence[float]) -> LinearFit:
     """The least-squares line through the columns ``ts`` and ``vs``. The t
     half comes from ``_t_only``, which refuses a t column with no slope; a
-    value sum past the float range is taken again over the values divided
-    by the largest of them.
+    line past the float range is left to ``_rescaled_line``.
 
     Every sum is a plain left-to-right one, as the builtin sum() gives it
     before CPython 3.12, which compensates float sums, and every square is
@@ -151,27 +146,51 @@ def _line(ts: tuple[float, ...], vs: Sequence[float]) -> LinearFit:
     some libraries round wrongly: the same bits on every version and platform.
     """
     t_mean, ds, s_tt = _t_only(ts, 0)
-    n = len(vs)
     sv = 0.0
-    for v in vs:
-        sv += v
-    v_mean = sv / n
-    if sv - sv != 0.0 and all(map(isfinite, vs)):
-        largest = max(map(abs, vs))
-        v_mean = largest * (fsum([v / largest for v in vs]) / n)
+    try:
+        for v in vs:
+            sv += v
+    except OverflowError:  # an int value past the float range
+        return _rescaled_line(ts, vs)
+    v_mean = sv / len(vs)
     s_tv = 0.0
     for d, v in zip(ds, vs):
         s_tv += d * (v - v_mean)
     slope = s_tv / s_tt
-    return tuple.__new__(LinearFit, (slope, v_mean - slope * t_mean))
+    intercept = v_mean - slope * t_mean
+    if isfinite(slope) and isfinite(intercept):
+        return tuple.__new__(LinearFit, (slope, intercept))
+    return _rescaled_line(ts, vs)
+
+
+def _rescaled_line(ts: tuple[float, ...], vs: Sequence[float]) -> LinearFit:
+    """A line past the float range, fitted again over its values scaled by a power of two
+    (exact) and scaled back; refused if they were of unit scale or it stays past the range."""
+    _require_finite(vs)
+    exponent = math.frexp(max(map(abs, vs)))[1]
+    if exponent:
+        slope, intercept = _line(ts, [math.ldexp(v, -exponent) for v in vs])
+        try:
+            return LinearFit(math.ldexp(slope, exponent), math.ldexp(intercept, exponent))
+        except OverflowError:
+            pass
+    raise FitOverflowError("line coefficients pass the float range for these values")
+
+
+def _require_finite(column: Sequence[float], name: str = "value", error=DomainError) -> None:
+    """Raise ``error`` at the first entry of ``column`` that is NaN, infinite
+    or an int past the float range."""
+    for i, x in enumerate(column):
+        if not -FLOAT_END < x < FLOAT_END:
+            raise error(f"{name} {x!r} at sample {i} is not {'a number' if x != x else 'finite'}")
 
 
 def _center(ts: tuple[float, ...]) -> tuple | str:
     """The t half of a least-squares line: the mean of ``ts``, the deviations
-    from it and the sum of their squares; or, for a t column it refuses, the
-    refusal message. The equal test stops at the second t of an increasing
-    column, and a t that is NaN, infinite or an int past the float range is
-    sought only when the t sum is not finite, which any such t makes it."""
+    from it and the sum of their squares, or the message refusing the column.
+    The equal test stops at the second t of an increasing column; a t that is
+    NaN, infinite or an int past the float range, which raises, is sought only
+    when the t sum is not finite, which any such t makes it."""
     if all(map(eq, ts, repeat(ts[0]))):
         return "all t values are equal; cannot fit a slope"
     st = 0.0
@@ -181,9 +200,7 @@ def _center(ts: tuple[float, ...]) -> tuple | str:
     except OverflowError:  # an int past the float range
         st = math.inf
     if st - st != 0.0:
-        for i, t in enumerate(ts):
-            if not -FLOAT_END < t < FLOAT_END:
-                return f"t value {t!r} at sample {i} is not " + ("a number" if t != t else "finite")
+        _require_finite(ts, "t value", DegenerateAbscissaError)
         return "the sum of the t values overflows"
     t_mean = st / len(ts)
     ds = []
@@ -287,12 +304,13 @@ def _fit_polynomial(ts: tuple[float, ...], vs: tuple[float, ...],
     ``_factor`` gives, through the memo, one row of weights per coefficient,
     so each coefficient is one dot product with the values. ``math.fsum``
     rounds it correctly, so it has the same bits on every CPython version.
-    Only when a dot product passes the float range are they all taken again
-    over the values divided by the largest of them, then multiplied back.
+    A dot product past the float range refuses a value that is not finite,
+    or else all are taken again over the values divided by the largest.
     """
     factors = _t_only(ts, degree)
     coefficients = _dots(factors, vs)
     if coefficients is None:
+        _require_finite(vs)
         largest = max(map(abs, vs))
         coefficients = _dots(factors, [v / largest for v in vs], largest)
         if coefficients is None:
@@ -391,8 +409,8 @@ def predict(fit: FitResult, t: float) -> float:
                 value = value * t + coeff
         else:
             value = math.exp(a * t + b) + _correction(family, a)
-    except OverflowError:
-        raise PredictionRangeError(f"{kind.label} prediction overflows at t={t!r}") from None
+    except OverflowError:  # refused below, as is a value that overflows to inf
+        value = math.inf
     if not math.isfinite(value):
         raise PredictionRangeError(f"{kind.label} prediction overflows at t={t!r}")
     return value

@@ -6,13 +6,13 @@ from bisect import bisect_right
 from collections import namedtuple
 
 from .errors import TrackcastError, ValidationError
-from .ingest import AxisSeries
+from .ingest import AxisSeries, CheckedTuple
 from .regression import FitResult, ModelKind, fit_model, predict
 
 DEFAULT_HORIZON = 60
 
 
-class Region(namedtuple("Region", "x_min x_max y_min y_max")):
+class Region(CheckedTuple, namedtuple("Region", "x_min x_max y_min y_max")):
     """Axis-aligned rectangle in pixel space; the defect gate boundary."""
 
     __slots__ = ()
@@ -25,12 +25,8 @@ class Region(namedtuple("Region", "x_min x_max y_min y_max")):
             )
         return tuple.__new__(cls, (x_min, x_max, y_min, y_max))
 
-    @classmethod
-    def _make(cls, iterable) -> "Region":
-        return cls(*iterable)
 
-
-class WindowConfig(namedtuple("WindowConfig", "length horizon")):
+class WindowConfig(CheckedTuple, namedtuple("WindowConfig", "length horizon")):
     """History window and prediction horizon, both in frames.
 
     ``length`` None means the entire history.
@@ -48,10 +44,6 @@ class WindowConfig(namedtuple("WindowConfig", "length horizon")):
         if length is not None and length < 2:
             raise ValidationError(f"window length must be >= 2, got {length}")
         return tuple.__new__(cls, (length, horizon))
-
-    @classmethod
-    def _make(cls, iterable) -> "WindowConfig":
-        return cls(*iterable)
 
 
 PredictedEndpoint = namedtuple("PredictedEndpoint", "t_target x y defect")

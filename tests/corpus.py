@@ -101,6 +101,7 @@ def _wave(frame):
 GROWTH = _records(1, 130, _growth, lambda f: _growth(f) / 2.0 + 5.0)
 NEGATIVE = _records(2, 130, lambda f: 0.5 * f - 30.0, lambda f: -(f % 17) - 1.0)
 WAVE = _records(3, 130, _wave, lambda f: 100.0 - 0.3 * f)
+LONG = _records(4, 1000, _wave, lambda f: 400.0 - 0.3 * f)
 
 HOSTILE_JSONL = {
     "non_utf8": b'{"frame": 0, "left": 1.0, "top": 1.0, "width": 4.0, "height": 4.0, '
@@ -224,6 +225,7 @@ def write_inputs(root: Path) -> None:
         **{f"hostile_{name}.csv": data for name, data in HOSTILE_CSV.items()},
         **{name: text.encode() for name, text in SPECS.items()},
         **FLOAT_LIMIT,
+        "long.jsonl": _jsonl(LONG).encode(),
     }
     for name, data in files.items():
         (root / name).write_bytes(data)
@@ -341,6 +343,13 @@ def cases():
                           ("limit_1.7e308.jsonl", "poly2"), ("limit_alternating.jsonl", "poly2"),
                           ("limit_center_x.jsonl", "sinexp"), ("limit_center_y.jsonl", "linear")):
         add(["fit", "--input", stream, "--axis", "x", "--model", model])
+    add(["fit", "--input", "limit_alternating.jsonl", "--axis", "x", "--model", "linear"])
+    # Polynomial rows share the memoized t-only work: poly5 fits, and the two
+    # poly2 rows, the second fitted after poly5 and poly3, read the same.
+    add(["compare", *src, "--models", "poly2,poly5,poly3,poly2", "--cutoff", "30",
+         "--horizon", "9"])
+    # On 1000 frames poly60's raw-t coefficients cannot hold the fit.
+    add(["fit", "--input", "long.jsonl", "--axis", "x", "--model", "poly60"])
     return out
 
 

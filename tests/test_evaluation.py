@@ -110,6 +110,13 @@ class TestEvaluate:
         assert "x axis" in report.failure
         assert report.actual == (5.0, 71.0)
 
+    def test_non_finite_value_reports_unavailable(self):
+        xs = AxisSeries(Axis.X, tuple((float(t), math.nan if t == 3 else 5.0) for t in range(71)))
+        ys = series(Axis.Y, lambda t: t + 1.0, range(71))
+        report = evaluate(xs, ys, LINEAR, 10.0, WindowConfig(horizon=60))
+        assert report.predicted is None
+        assert report.failure == "x axis: value nan at sample 3 is not a number"
+
 
 class TestCompare:
     @staticmethod

@@ -3,6 +3,7 @@ import math
 import json
 import pickle
 import random
+import sys
 
 import pytest
 
@@ -761,6 +762,25 @@ def test_a_field_fault_reads_the_same_in_both_formats(faults, error, message):
     row = ",".join(CSV_HEADER) + "\n" + ",".join(cells[k] for k in CSV_HEADER) + "\n"
     assert outcome(parse_detections, line, StreamFormat.JSONL) == (error, f"line 1: {message}")
     assert outcome(parse_detections, row, StreamFormat.CSV) == (error, f"line 2: {message}")
+
+
+# 2**1024 - 2**970 is the least int that float() cannot convert, and as CSV
+# text float() reads it as inf; one below it is the largest float.
+@pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])
+@pytest.mark.parametrize("fmt", [StreamFormat.JSONL, StreamFormat.CSV], ids=["jsonl", "csv"])
+def test_record_numbers_end_at_the_float_range(fmt, sign):
+    def parse(left):
+        if fmt is StreamFormat.JSONL:
+            line = f'{{"frame": 0, "left": {left}, "top": 1, "width": 4, "height": 4}}\n'
+            return outcome(parse_detections, line, fmt)
+        return outcome(parse_detections, ",".join(CSV_HEADER) + f"\n0,{left},1,4,4,,\n", fmt)
+
+    end = sign * (2**1024 - 2**970)
+    assert float(str(end)) == sign * INF
+    (record,) = parse(end - sign)
+    assert float(record.left) == sign * sys.float_info.max  # an int from JSON, a float from CSV
+    line_no = 1 if fmt is StreamFormat.JSONL else 2
+    assert parse(end) == (ParseError, f"line {line_no}: value for 'left' must be finite")
 
 
 def ordering_reference(axis, samples):

@@ -178,6 +178,22 @@ class TestFitLinear:
         assert fit.slope == pytest.approx(0.05e308, rel=1e-15)
         assert fit.intercept == pytest.approx(1.55e308, rel=1e-15)
 
+    def test_line_past_float_range_fitted_over_scaled_values(self):
+        # v - mean overflows for these values, while the exact line, slope 0
+        # and intercept 1.7e308 / 3, is in range.
+        fit = fit_linear([(0.0, 1.7e308), (1.0, -1.7e308), (2.0, 1.7e308)])
+        assert fit.slope == 0.0
+        assert fit.intercept == pytest.approx(1.7e308 / 3, rel=1e-15)
+
+    @pytest.mark.parametrize("pairs", [
+        [(0.0, -1.7e308), (1e-10, 1.7e308)],
+        [(1e10, 0.0), (1e10 + 1.0, 1e308)],
+    ], ids=["slope", "intercept"])
+    def test_line_past_float_range_refused(self, pairs):
+        with pytest.raises(FitOverflowError,
+                           match="^line coefficients pass the float range for these values$"):
+            fit_linear(pairs)
+
     def test_squares_are_correctly_rounded(self):
         # glibc 2.36's pow() rounds this half-gap's square one unit too high;
         # a product is rounded correctly on every platform.
@@ -613,9 +629,32 @@ class TestSharedLogLine:
             fit_model(s, EXPONENTIAL)
 
 
+NON_FINITE_VALUES = {"nan": (math.nan, "a number"), "inf": (math.inf, "finite"),
+                     "minus_inf": (-math.inf, "finite"), "int_1e400": (10**400, "finite")}
+NON_FINITE_CASES = {
+    f"{kind.label}-{name}": (kind, *NON_FINITE_VALUES[name])
+    for kinds, names in (((LINEAR, polynomial(2)), NON_FINITE_VALUES), (EXP_FAMILY, ("nan", "inf")))
+    for kind in kinds for name in names}
+
+
+class TestNonFiniteValues:
+    """A value that is NaN, infinite or an int past the float range is refused
+    by name; exponential kinds see it through ln v, which is NaN or inf too."""
+
+    @pytest.mark.parametrize("kind, value, message", NON_FINITE_CASES.values(),
+                             ids=NON_FINITE_CASES.keys())
+    def test_refused_by_name(self, kind, value, message):
+        s = AxisSeries(Axis.X, ((0.0, 1.0), (1.0, value), (2.0, 3.0), (3.0, 4.0)))
+        with pytest.raises(DomainError) as err:
+            fit_model(s, kind)
+        assert str(err.value) == f"value {value!r} at sample 1 is not {message}"
+
+
 def _reference_fit_linear(pairs):
     """fit_linear as it was before the log-line fit was fused into one pass,
-    with the t-sum refusal and the scaled mean of values whose sum overflows."""
+    with the t-sum refusal. A line past the float range refuses a value that
+    is not finite, else is fitted again over the values scaled by a power of
+    two and scaled back; one that still passes the range is refused."""
     n = len(pairs)
     if n < 2:
         raise InsufficientDataError(f"linear fit needs at least 2 pairs, got {n}")
@@ -630,9 +669,6 @@ def _reference_fit_linear(pairs):
         raise DegenerateAbscissaError("the sum of the t values overflows")
     t_mean = st / n
     v_mean = sv / n
-    if not math.isfinite(sv) and all(math.isfinite(v) for _, v in pairs):
-        largest = max(abs(v) for _, v in pairs)
-        v_mean = largest * (math.fsum(v / largest for _, v in pairs) / n)
     s_tt = s_tv = 0.0
     for t, v in pairs:
         d = t - t_mean
@@ -641,7 +677,21 @@ def _reference_fit_linear(pairs):
     if s_tt == 0.0:
         raise DegenerateAbscissaError("t values are numerically indistinguishable")
     slope = s_tv / s_tt
-    return slope, v_mean - slope * t_mean
+    intercept = v_mean - slope * t_mean
+    if math.isfinite(slope) and math.isfinite(intercept):
+        return slope, intercept
+    for i, (_, v) in enumerate(pairs):
+        if not math.isfinite(v):
+            raise DomainError(f"value {v!r} at sample {i} is not "
+                              + ("a number" if math.isnan(v) else "finite"))
+    exponent = math.frexp(max(abs(v) for _, v in pairs))[1]
+    if exponent:
+        slope, intercept = _reference_fit_linear(
+            [(t, math.ldexp(v, -exponent)) for t, v in pairs])
+        line = [Fraction(c) * Fraction(2) ** exponent for c in (slope, intercept)]
+        if all(abs(c) < 2**1024 for c in line):  # else ldexp overflows
+            return tuple(map(float, line))
+    raise FitOverflowError("line coefficients pass the float range for these values")
 
 
 def _reference_log_line(samples, kind, clamp_nonpositive):
@@ -710,7 +760,7 @@ class TestFusedLogLine:
                     assert got == expected, (samples, kind, clamp)
                     seen.add(expected[0] if isinstance(expected[0], type) else "fitted")
         # every outcome the fit has was reached
-        assert seen == {"fitted", DomainError, DegenerateAbscissaError}
+        assert seen == {"fitted", DomainError, DegenerateAbscissaError, FitOverflowError}
 
 
 class TestPredict:
