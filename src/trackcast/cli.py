@@ -47,7 +47,7 @@ SIMULATED_LABEL = "rebar_endpoint"
 # an even stride beyond, so a distant target cannot grow the SVG without bound.
 MAX_CURVE_FRAMES = 1000
 # Options whose value may start with '-': a negative number, -inf, a region.
-_SIGNED_OPTIONS = ("--cutoff", "--region", "--horizon", "--window", "--poly-degree", "--seed")
+_SIGNED_OPTIONS = ("--cutoff", "--region", "--horizon", "--window", "--seed")
 
 
 def _join_signed_values(argv: list[str]) -> list[str]:
@@ -107,10 +107,6 @@ def _load_series(args) -> tuple[AxisSeries, AxisSeries]:
     return xs, ys
 
 
-def _model_kind(args) -> ModelKind:
-    return ModelKind.parse(args.model, default_degree=args.poly_degree)
-
-
 def _cutoff(args, fallback: float) -> float:
     return fallback if args.cutoff is None else args.cutoff
 
@@ -122,10 +118,6 @@ def _add_stream_options(sub) -> None:
 
 
 def _add_fit_options(sub) -> None:
-    sub.add_argument("--model", default="sinexp",
-                     help="linear|exp|sinexp|cosexp|poly|polyN")
-    sub.add_argument("--poly-degree", type=int, default=2,
-                     help="degree used when the model is 'poly'")
     sub.add_argument("--window", type=_window_arg, default=None,
                      help="frames of history used for fitting (integer or 'all')")
     sub.add_argument("--cutoff", type=float, default=None,
@@ -169,7 +161,7 @@ def cmd_fit(args) -> int:
     series = xs if args.axis == "x" else ys
     config = WindowConfig(length=args.window, horizon=DEFAULT_HORIZON)
     cutoff = _cutoff(args, math.inf)
-    fit = fit_axis(series, _model_kind(args), config, cutoff, args.clamp_nonpositive)
+    fit = fit_axis(series, ModelKind.parse(args.model), config, cutoff, args.clamp_nonpositive)
     sys.stdout.write(_fit_report(fit, residual_rmse(fit, window(series, config, cutoff))))
     return 0
 
@@ -182,7 +174,7 @@ def cmd_predict(args) -> int:
     if args.region is not None:
         x0, y0, x1, y1 = args.region
         region = Region(x_min=x0, x_max=x1, y_min=y0, y_max=y1)
-    point = predict_endpoint(xs, ys, _model_kind(args), config, cutoff, region,
+    point = predict_endpoint(xs, ys, ModelKind.parse(args.model), config, cutoff, region,
                              args.clamp_nonpositive)
     verdict = "true" if point.defect else "false"
     sys.stdout.write(
@@ -193,10 +185,8 @@ def cmd_predict(args) -> int:
 
 def cmd_compare(args) -> int:
     xs, ys = _load_series(args)
-    kinds = [
-        ModelKind.parse(token, default_degree=args.poly_degree)
-        for token in args.models.split(",")
-    ] if args.models else list(evaluation.DEFAULT_KINDS)
+    kinds = ([ModelKind.parse(token) for token in args.models.split(",")]
+             if args.models else list(evaluation.DEFAULT_KINDS))
     config = WindowConfig(length=args.window, horizon=args.horizon)
     cutoff = _cutoff(args, xs._ts[-1] - args.horizon)
     reports = evaluation.compare(xs, ys, kinds, cutoff, config, args.clamp_nonpositive)
@@ -209,7 +199,7 @@ def cmd_compare(args) -> int:
 
 def cmd_plot(args) -> int:
     xs, ys = _load_series(args)
-    kind = _model_kind(args)
+    kind = ModelKind.parse(args.model)
     config = WindowConfig(length=args.window, horizon=args.horizon)
     cutoff = _cutoff(args, xs._ts[-1])
     t_target = cutoff + config.horizon
@@ -224,7 +214,10 @@ def cmd_plot(args) -> int:
         curve_ts = [float(t) for t in range(first, last + 1, stride)]
         if not curve_ts or curve_ts[-1] != t_target:
             curve_ts.append(t_target)
-        curve_values = tuple([predict(fit, t) for t in curve_ts])
+        try:
+            curve_values = tuple([predict(fit, t) for t in curve_ts])
+        except TrackcastError as exc:  # named as predict_endpoint names it
+            raise type(exc)(f"{series.axis.value} axis: {exc}") from exc
         # The curve ends at the target, so its last value is the prediction.
         panels.append(svgplot.Panel(
             title=series.axis.value, ts=windowed._ts, values=windowed._vs,
@@ -276,6 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fit_options(plot)
     plot.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
     plot.add_argument("--out", required=True, help="SVG output path")
+    # compare scores a list of models; with no --model of its own, argparse's
+    # prefix matching reads `compare --model X` as `--models X`.
+    for sub in (fit, pred, plot):
+        sub.add_argument("--model", default="sinexp",
+                         help="linear|exp|sinexp|cosexp|polyN (poly is poly2)")
 
     return parser
 

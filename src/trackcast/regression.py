@@ -88,19 +88,18 @@ class ModelKind(CheckedTuple, namedtuple("ModelKind", "family degree")):
         return self.degree + 1 if self.family is _F_POLYNOMIAL else 2
 
     @classmethod
-    def parse(cls, token: str, default_degree: int = 2) -> "ModelKind":
-        """Parse a CLI token: linear|exp|sinexp|cosexp|poly|polyN."""
+    def parse(cls, token: str) -> "ModelKind":
+        """Parse a CLI token: linear|exp|sinexp|cosexp|polyN, where bare poly is poly2."""
         token = token.strip().lower()
-        for family in ModelFamily:
-            if token == family.value and family is not ModelFamily.POLYNOMIAL:
-                return cls(family)
-        if token == "poly":
-            return cls(ModelFamily.POLYNOMIAL, default_degree)
-        if token.startswith("poly") and token[4:].isdigit():
+        digits = token[4:] or "2"
+        if token.startswith("poly") and digits.isdigit():
             try:  # int() refuses superscript digits and overlong digit runs
-                return cls(ModelFamily.POLYNOMIAL, int(token[4:]))
+                return cls(ModelFamily.POLYNOMIAL, int(digits))
             except ValueError:
                 pass
+        for family in ModelFamily:
+            if token == family.value:
+                return cls(family)
         raise ValidationError(f"unknown model '{token}'")
 
 
@@ -421,16 +420,19 @@ def residual_rmse(fit: FitResult, series: AxisSeries) -> float:
 
     When finite residuals have squares past the float range, they are summed
     again divided by the largest of them, which bounds the result, so the
-    RMSE stays finite; only a residual past the float range gives inf.
+    RMSE stays finite; only a prediction or residual past the range gives inf.
     """
     ts, vs = series._ts, series._vs
     if not ts:
         raise InsufficientDataError("cannot compute RMSE of an empty series")
     n = len(ts)
     total = 0.0
-    for t, v in zip(ts, vs):
-        residual = predict(fit, t) - v
-        total += residual * residual
+    try:
+        for t, v in zip(ts, vs):
+            residual = predict(fit, t) - v
+            total += residual * residual
+    except PredictionRangeError:
+        return math.inf
     if total == math.inf:
         residuals = [predict(fit, t) - v for t, v in zip(ts, vs)]
         m = max(map(abs, residuals))

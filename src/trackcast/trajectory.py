@@ -6,7 +6,7 @@ from bisect import bisect_right
 from collections import namedtuple
 
 from .errors import TrackcastError, ValidationError
-from .ingest import AxisSeries, CheckedTuple
+from .ingest import FLOAT_END, AxisSeries, CheckedTuple
 from .regression import FitResult, ModelKind, fit_model, predict
 
 DEFAULT_HORIZON = 60
@@ -35,12 +35,12 @@ class WindowConfig(CheckedTuple, namedtuple("WindowConfig", "length horizon")):
     __slots__ = ()
 
     def __new__(cls, length: int | None = None, horizon: int = DEFAULT_HORIZON) -> "WindowConfig":
-        if horizon < 1:
+        if not horizon >= 1:  # NaN included
             raise ValidationError(f"horizon must be >= 1, got {horizon}")
-        try:
-            float(horizon)  # it is added to float frame times
-        except OverflowError:
-            raise ValidationError("horizon is beyond the float range") from None
+        if not horizon < FLOAT_END:  # it is added to float frame times
+            raise ValidationError("horizon is beyond the float range")
+        if length is not None and not isinstance(length, int):  # it slices the series
+            raise ValidationError(f"window length must be an integer, got {length!r}")
         if length is not None and length < 2:
             raise ValidationError(f"window length must be >= 2, got {length}")
         return tuple.__new__(cls, (length, horizon))

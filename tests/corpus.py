@@ -181,11 +181,13 @@ def _boxes(lefts, width=4.0, top=1.0, height=4.0):
 
 # Boxes near the float limit, named for the path each reaches: a value sum,
 # residual squares or polynomial dot products that overflow and are taken again
-# over scaled values, coefficients that still overflow, and box centers that do.
+# over scaled values, coefficients that still overflow, box centers that do,
+# and an exp fit whose predictions on its own window do.
 FLOAT_LIMIT = {
     "limit_1e308.jsonl": _boxes(["1e308"] * 3),
     "limit_1.7e308.jsonl": _boxes(["1.7e308"] * 3),
     "limit_alternating.jsonl": _boxes(["1.7e308", "-1.7e308", "1.7e308"]),
+    "limit_rising.jsonl": _boxes(["1.0", "1.7e308", "1.7e308"]),
     "limit_center_x.jsonl": _boxes(["1.7e308"] * 3, width="1.7e308"),
     "limit_center_y.jsonl": _boxes(["1.0"] * 3, top="1.7e308", height="1.7e308"),
 }
@@ -297,9 +299,12 @@ def cases():
         add(["predict", *src, "--region", region, "--cutoff", "60"])
     for extra in (["--table", "text"], ["--out", "out.csv"], ["--table", "text", "--out", "out.txt"],
                   ["--models", "poly", "--poly-degree", "4"], ["--cutoff", "125"]):
-        add(["compare", *src, *extra])
+        add(["compare", *src, *extra], pinned="--poly-degree" not in extra)
+    # --poly-degree is no option: polyN names the degree (the equivalents are
+    # appended at the end).
     for degree in ("0", "1", "3", "12"):
-        add(["fit", *src, "--axis", "x", "--model", "poly", "--poly-degree", degree])
+        add(["fit", *src, "--axis", "x", "--model", "poly", "--poly-degree", degree],
+            pinned=False)
     for cutoff in ("-1e3", "1e308", "-0"):
         add(["fit", *src, "--axis", "x", "--model", "linear", "--cutoff", cutoff])
     for window in ("0", "1", "-1", "ALL"):
@@ -350,6 +355,13 @@ def cases():
          "--horizon", "9"])
     # On 1000 frames poly60's raw-t coefficients cannot hold the fit.
     add(["fit", "--input", "long.jsonl", "--axis", "x", "--model", "poly60"])
+    for degree in ("0", "1", "3", "12"):
+        add(["fit", *src, "--axis", "x", "--model", f"poly{degree}"])
+    add(["compare", *src, "--models", "poly4"])
+    # The exp fit succeeds, its predictions on the window overflow: fit prints
+    # rmse = inf, plot names the axis.
+    add(["fit", "--input", "limit_rising.jsonl", "--axis", "x", "--model", "exp"])
+    add(["plot", "--input", "limit_rising.jsonl", "--model", "exp", "--out", "out.svg"])
     return out
 
 

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -114,7 +115,7 @@ class TestFit:
         stream = tmp_path / "quad.jsonl"
         stream.write_text(jsonl_stream(lambda t: t * t + 1.0, lambda t: 5.0, 8))
         code, out, _ = run_cli("fit", "--input", str(stream), "--axis", "x",
-                               "--model", "poly", "--poly-degree", "2")
+                               "--model", "poly")
         assert code == 0
         assert "kind = poly2\n" in out
         assert "coefficients = 1.000000,0.000000,1.000000\n" in out
@@ -290,6 +291,17 @@ class TestCompare:
         assert code == 2
         assert "ground-truth" in err or "truth" in err
 
+    def test_model_reads_as_models(self, growth_spec, tmp_path, capsys):
+        # compare has no --model; argparse takes it for the --models prefix.
+        stream = tmp_path / "stream.jsonl"
+        assert main(["simulate", "--spec", str(growth_spec), "--out", str(stream)]) == 0
+        outputs = [(main(["compare", "--input", str(stream), option, "linear"]),
+                    capsys.readouterr()) for option in ("--model", "--models")]
+        assert outputs[0] == outputs[1]
+        code, (out, err) = outputs[0]
+        assert (code, err) == (0, "")
+        assert [line.split(",")[0] for line in out.splitlines()] == ["model", "linear"]
+
     def test_golden_default_comparison(self, run_cli, tmp_path):
         spec = tmp_path / "golden.spec"
         spec.write_text(
@@ -340,6 +352,14 @@ class TestPlot:
         svg = tmp_path / "out.svg"
         code, _, _ = run_cli("plot", "--model", "exp", "--out", str(svg), stdin="")
         assert code == 2
+
+    def test_curve_overflow_names_the_axis(self, tmp_path, capsys):
+        stream = tmp_path / "rising.jsonl"
+        stream.write_text(jsonl_stream(lambda t: 3.0 if t == 0 else 1.7e308, lambda t: 4.0, 3))
+        svg = tmp_path / "fit.svg"
+        code = main(["plot", "--input", str(stream), "--model", "exp", "--out", str(svg)])
+        assert code == 2 and not svg.exists()
+        assert capsys.readouterr() == ("", "error: x axis: exp prediction overflows at t=2.0\n")
 
     # 20 frames (0..19) and the default horizon of 60: the curve runs from
     # frame 0 to cutoff + 60, every frame while that span is within the bound.
@@ -653,3 +673,41 @@ def test_commands_build_no_pairs(growth_spec, tmp_path, capsys, monkeypatch):
     assert outputs() == expected
     assert [(code, bool(out), err) for code, (out, err) in expected] == [
         (0, True, ""), (0, True, ""), (3, True, ""), (0, True, ""), (0, True, "")]
+
+
+class ReadRecorder(argparse.Namespace):
+    """A namespace that records the name of each public attribute read from it."""
+
+    def __init__(self):
+        super().__init__()
+        self._reads = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            super().__getattribute__("_reads").add(name)
+        return super().__getattribute__(name)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--spec", "{spec}", "--seed", "3", "--out", "{out}"],
+    ["fit", "--input", "{stream}", "--format", "jsonl", "--axis", "x", "--model", "exp",
+     "--window", "20", "--cutoff", "60", "--clamp-nonpositive"],
+    ["predict", "--input", "{stream}", "--model", "linear", "--window", "all", "--cutoff", "60",
+     "--horizon", "10", "--region", "0,0,640,480"],
+    ["compare", "--input", "{stream}", "--models", "exp,poly3", "--window", "30",
+     "--cutoff", "60", "--horizon", "10", "--table", "text", "--out", "{out}"],
+    ["plot", "--input", "{stream}", "--model", "poly", "--cutoff", "60", "--horizon", "10",
+     "--out", "{out}"],
+], ids=lambda argv: argv[0])
+def test_every_declared_option_is_read(growth_spec, tmp_path, capsys, argv):
+    # Each value the parser sets on the namespace is a declared option (or its
+    # default); the command it dispatches to must read every one of them.
+    stream = tmp_path / "stream.jsonl"
+    assert main(["simulate", "--spec", str(growth_spec), "--out", str(stream)]) == 0
+    paths = {"spec": growth_spec, "stream": stream, "out": tmp_path / "out"}
+    args = cli.build_parser().parse_args([token.format(**paths) for token in argv],
+                                         namespace=ReadRecorder())
+    declared = {name for name in vars(args) if not name.startswith("_")}
+    args._reads.clear()  # the parser itself reads the defaults it set
+    assert getattr(cli, f"cmd_{args.command}")(args) in (0, 3)
+    assert declared - args._reads == set()

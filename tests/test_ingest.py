@@ -542,13 +542,19 @@ class TestValueTypes:
                         "got [0.0, -1.0] x [0.0, 1.0]"),
         ("horizon", 0, "horizon must be >= 1, got 0"),
         ("horizon", 10**400, "horizon is beyond the float range"),
+        # Refused by name here, not blamed on the prediction or the slicing.
+        ("horizon", math.nan, "horizon must be >= 1, got nan"),
+        ("horizon", math.inf, "horizon is beyond the float range"),
         ("length", 1, "window length must be >= 2, got 1"),
+        ("length", 3.0, "window length must be an integer, got 3.0"),
+        ("length", math.nan, "window length must be an integer, got nan"),
         ("n_frames", 0, "n_frames must be >= 1, got 0"),
         ("shake_prob", 1.5, "shake_prob must be in [0, 1], got 1.5"),
         ("seed", -1, "seed must be an unsigned 64-bit integer"),
         ("seed", 2**64, "seed must be an unsigned 64-bit integer"),
     ], ids=["kind_family", "kind_degree", "region", "window_horizon", "window_horizon_huge",
-            "window_length", "spec_frames", "spec_shake_prob", "spec_seed_negative",
+            "window_horizon_nan", "window_horizon_inf", "window_length", "window_length_float",
+            "window_length_nan", "spec_frames", "spec_shake_prob", "spec_seed_negative",
             "spec_seed_64_bits"])
     def test_replace_checks_like_the_constructor(self, field, bad, message):
         value = next(v for v in CHECKED_VALUES if field in v._fields)

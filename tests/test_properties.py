@@ -183,12 +183,11 @@ def run_options(argv) -> int:
 @SETTINGS
 @given(model=MODELS, models=st.lists(MODELS, min_size=1, max_size=3).map(",".join),
        cutoff=FLOATS, window=st.one_of(INTEGERS, st.just("all")), horizon=INTEGERS,
-       degree=INTEGERS, region=st.lists(FLOATS, min_size=4, max_size=4).map(",".join))
-def test_hostile_option_values(workdir, model, models, cutoff, window, horizon, degree, region):
+       region=st.lists(FLOATS, min_size=4, max_size=4).map(",".join))
+def test_hostile_option_values(workdir, model, models, cutoff, window, horizon, region):
     path = workdir / "options.jsonl"
     path.write_bytes(STREAMS[StreamFormat.JSONL])
-    common = ["--input", str(path), "--cutoff", cutoff, "--window", window,
-              "--poly-degree", degree]
+    common = ["--input", str(path), "--cutoff", cutoff, "--window", window]
     for argv in (["fit", *common, "--axis", "x", "--model", model],
                  ["predict", *common, "--model", model, "--horizon", horizon, "--region", region],
                  ["compare", *common, "--models", models, "--horizon", horizon],

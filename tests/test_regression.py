@@ -552,10 +552,10 @@ class TestPolynomialMemo:
 
 class TestModelKindParse:
     @pytest.mark.parametrize("token, degree", [
-        ("poly3", 3), (" POLY03 ", 3), ("poly٣", 3), ("poly𝟛", 3), ("poly", 4),
+        ("poly3", 3), (" POLY03 ", 3), ("poly٣", 3), ("poly𝟛", 3), ("poly", 2),
     ])
     def test_polynomial_tokens(self, token, degree):
-        assert ModelKind.parse(token, default_degree=4) == polynomial(degree)
+        assert ModelKind.parse(token) == polynomial(degree)
 
     @pytest.mark.parametrize("token", [
         "poly²", "poly³", "poly+3", "poly 3", "poly-1", "poly" + "9" * 5000, "cubic",
@@ -842,3 +842,11 @@ class TestResidualRmse:
         # A residual past the float range still gives inf.
         fit = FitResult(LINEAR, a=0.0, b=1e308, coefficients=(), n_points=2)
         assert residual_rmse(fit, series([(0, 1.0), (1, -1e308)])) == math.inf
+
+    def test_prediction_past_float_range_gives_inf(self):
+        # The fit of 3.0, 1.7e308, 1.7e308 is finite; its prediction at t=2 is not.
+        s = series([(0, 3.0), (1, 1.7e308), (2, 1.7e308)])
+        fit = fit_model(s, EXPONENTIAL)
+        with pytest.raises(PredictionRangeError):
+            predict(fit, 2.0)
+        assert residual_rmse(fit, s) == math.inf

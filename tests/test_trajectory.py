@@ -222,6 +222,9 @@ class TestWindowConfig:
         with pytest.raises(ValidationError):
             WindowConfig(length=1)
 
+    def test_largest_float_horizon_accepted(self):
+        assert WindowConfig(horizon=1.7976931348623157e308).horizon == 1.7976931348623157e308
+
     def test_defaults(self):
         config = WindowConfig()
         assert config.horizon == 60
