@@ -12,14 +12,16 @@ explicit Box-Muller transform over the generator's uniforms, so the
 streams depend only on the documented, platform-independent ``random()``
 sequence. Every frame consumes exactly four uniforms per axis (two for
 the log-space noise deviate, one for the shake decision, one for the
-shake displacement) regardless of parameter values.
+shake displacement) regardless of parameter values. ``batch_compare``
+computes only the frames ``compare`` reads and draws the four uniforms of
+every frame it passes over, so each value it computes keeps its bits.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from enum import Enum
@@ -33,7 +35,7 @@ from .errors import (
     UndefinedReferenceError,
     ValidationError,
 )
-from .ingest import Axis, AxisSeries, CheckedTuple
+from .ingest import FLOAT_END, Axis, AxisSeries, CheckedTuple
 from .numfmt import fixed6
 from .regression import (
     COS_EXPONENTIAL,
@@ -77,6 +79,12 @@ class SyntheticSpec(CheckedTuple, namedtuple("SyntheticSpec", "a_x b_x a_y b_y v
                 variant: Variant = Variant.PURE_EXPONENTIAL, n_frames: int = 100,
                 noise_sigma: float = 0.0, shake_prob: float = 0.0, shake_scale: float = 0.0,
                 seed: int = 0) -> "SyntheticSpec":
+        fields = (a_x, b_x, a_y, b_y, variant, n_frames, noise_sigma, shake_prob, shake_scale, seed)
+        for name, value in zip(cls._fields, fields):
+            if name in _SPEC_INT_KEYS and type(value) is not int:  # bool included
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            if name in _SPEC_FLOAT_KEYS and not -FLOAT_END < value < FLOAT_END:  # NaN included
+                raise ValidationError(f"{name} must be finite, got {value!r}")
         if n_frames < 1:
             raise ValidationError(f"n_frames must be >= 1, got {n_frames}")
         if noise_sigma < 0:
@@ -87,8 +95,7 @@ class SyntheticSpec(CheckedTuple, namedtuple("SyntheticSpec", "a_x b_x a_y b_y v
             raise ValidationError(f"shake_scale must be >= 0, got {shake_scale}")
         if not 0 <= seed < 2**64:
             raise ValidationError("seed must be an unsigned 64-bit integer")
-        return tuple.__new__(cls, (a_x, b_x, a_y, b_y, variant, n_frames, noise_sigma,
-                                   shake_prob, shake_scale, seed))
+        return tuple.__new__(cls, fields)
 
 
 def error_rate(predicted: float, actual: float) -> float:
@@ -161,7 +168,12 @@ def _synth_axis(axis: Axis, a: float, b: float, spec: SyntheticSpec, rng: random
     offset = math.sin(a) if spec.variant is Variant.SIN_EXPONENTIAL else 0.0
     sigma, shake_prob, shake_scale = spec.noise_sigma, spec.shake_prob, spec.shake_scale
     values = []
+    frame = 0.0  # the t of the next frame to draw
     for t in ts:
+        while frame < t:  # a frame passed over still draws its four uniforms
+            uniform(), uniform(), uniform(), uniform()
+            frame += 1.0
+        frame += 1.0
         # 1 - random() keeps the log argument in (0, 1].
         u1 = 1.0 - uniform()
         u2 = uniform()
@@ -189,7 +201,10 @@ def _synth_axis(axis: Axis, a: float, b: float, spec: SyntheticSpec, rng: random
 
 def synthesize(spec: SyntheticSpec) -> tuple[AxisSeries, AxisSeries]:
     """Generate the (X, Y) series for t = 0 .. n_frames - 1; both share one t column."""
-    ts = tuple(map(float, range(spec.n_frames)))
+    return _synthesize_at(spec, tuple(map(float, range(spec.n_frames))))
+
+
+def _synthesize_at(spec: SyntheticSpec, ts: tuple[float, ...]) -> tuple[AxisSeries, AxisSeries]:
     xs = _synth_axis(Axis.X, spec.a_x, spec.b_x, spec, random.Random(2 * spec.seed), ts)
     ys = _synth_axis(Axis.Y, spec.a_y, spec.b_y, spec, random.Random(2 * spec.seed + 1), ts)
     return AxisSeries._from_columns(Axis.X, ts, xs), AxisSeries._from_columns(Axis.Y, ts, ys)
@@ -259,20 +274,8 @@ def comparison_csv(reports: Iterable[ErrorReport]) -> str:
     lines = [COMPARISON_CSV_HEADER]
     for r in reports:
         pred_x, pred_y = r.predicted if r.predicted is not None else (None, None)
-        lines.append(
-            ",".join(
-                [
-                    r.kind.label,
-                    _fmt(r.err_x_pct),
-                    _fmt(r.err_y_pct),
-                    _fmt(r.t_target),
-                    _fmt(pred_x),
-                    _fmt(pred_y),
-                    _fmt(r.actual[0]),
-                    _fmt(r.actual[1]),
-                ]
-            )
-        )
+        values = (r.err_x_pct, r.err_y_pct, r.t_target, pred_x, pred_y, r.actual[0], r.actual[1])
+        lines.append(",".join([r.kind.label, *map(_fmt, values)]))
     return "".join(line + "\n" for line in lines)
 
 
@@ -280,13 +283,7 @@ def comparison_text(reports: Sequence[ErrorReport]) -> str:
     """Aligned three-column rendering; unavailable values become a dash."""
     rows = [("Regression", "x-error %", "y-error %")]
     for r in reports:
-        rows.append(
-            (
-                r.kind.label,
-                _fmt(r.err_x_pct) or "-",
-                _fmt(r.err_y_pct) or "-",
-            )
-        )
+        rows.append((r.kind.label, _fmt(r.err_x_pct) or "-", _fmt(r.err_y_pct) or "-"))
     widths = [max(len(row[col]) for row in rows) for col in range(3)]
     lines = []
     for name, ex, ey in rows:
@@ -300,5 +297,35 @@ def batch_compare(
     cutoff_t: float,
     config: WindowConfig,
 ) -> list[list[ErrorReport]]:
-    """Score many synthetic trajectories, one ``compare`` per spec."""
-    return [compare(*synthesize(spec), kinds, cutoff_t, config) for spec in specs]
+    """Score many synthetic trajectories, one ``compare`` per spec.
+
+    Each spec's generator computes only the frames ``compare`` reads (the
+    window at cutoff_t and the frame at cutoff_t + horizon) and draws the four
+    uniforms of each frame it passes over, so every value has the bits
+    ``synthesize`` gives it. A spec that a bound cannot prove free of a
+    ``GenerationError`` on every frame is synthesized in full, and raises it.
+    """
+    return [compare(*_synthesize_read(spec, kinds, cutoff_t, config), kinds, cutoff_t, config)
+            for spec in specs]
+
+
+def _synthesize_read(spec, kinds, cutoff_t, config) -> tuple[AxisSeries, AxisSeries]:
+    ts = tuple(map(float, range(spec.n_frames)))
+    # |Box-Muller deviate| < 8.58 and |sin(a)| <= 1. With every a*t + b (monotone
+    # in t) inside this range, each value lies between 3 * (1 + shake_scale) and
+    # 2 * e**700: finite and positive, with room to spare for rounding. With no
+    # kinds, compare reads no frame, and not even t_target is computed.
+    s = 9.0 * spec.noise_sigma
+    low = math.log(4.0 * (1.0 + spec.shake_scale)) + s
+    if not kinds or not all(low < a * t + b < 700.0 - s for a, b in
+                            ((spec.a_x, spec.b_x), (spec.a_y, spec.b_y)) for t in (0.0, ts[-1])):
+        return synthesize(spec)
+    # The tests of ``_value_at``, then of ``window``, in the order ``evaluate`` makes them.
+    t_target = cutoff_t + config.horizon
+    i = bisect_left(ts, t_target)
+    if not (i < len(ts) and ts[i] == t_target):  # a NaN cutoff included
+        return _synthesize_at(spec, ())  # compare raises MissingTruthError
+    end = bisect_right(ts, cutoff_t)
+    start = 0 if config.length is None else max(0, end - config.length)
+    # Below t = 2**53, t_target > cutoff_t, so frame i follows the window.
+    return _synthesize_at(spec, ts[start:end] + ts[i:i + 1])

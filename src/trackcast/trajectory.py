@@ -35,6 +35,8 @@ class WindowConfig(CheckedTuple, namedtuple("WindowConfig", "length horizon")):
     __slots__ = ()
 
     def __new__(cls, length: int | None = None, horizon: int = DEFAULT_HORIZON) -> "WindowConfig":
+        if type(horizon) is not int and type(horizon) is not float:  # bool is not a number here
+            raise ValidationError(f"horizon must be a number, got {horizon!r}")
         if not horizon >= 1:  # NaN included
             raise ValidationError(f"horizon must be >= 1, got {horizon}")
         if not horizon < FLOAT_END:  # it is added to float frame times

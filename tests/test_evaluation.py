@@ -29,6 +29,7 @@ from trackcast import (
     polynomial,
     synthesize,
 )
+from trackcast import evaluation
 
 
 def series(axis, fn, ts):
@@ -467,3 +468,116 @@ def test_batch_compare_scores_each_spec_through_the_polynomial_memo():
     reports = batch_compare(specs, kinds, 30.0, config)
     assert reports == [compare(*synthesize(s), kinds, 30.0, config) for s in specs]
     assert [r.failure for rows in reports for r in rows] == [None] * (16 * len(kinds))
+
+
+class TestBatchCompare:
+    """``batch_compare`` generates only the frames ``compare`` reads. Every
+    outcome must still equal ``compare`` over the fully synthesized series."""
+
+    KINDS = (*DEFAULT_KINDS, LINEAR, polynomial(5))
+    # Each raises a GenerationError at a frame that cutoff 30 and horizon 60 pass over.
+    RAISING = {
+        "x_overflow_at_60": SyntheticSpec(a_x=12.0, b_x=0.0, a_y=0.01, b_y=3.0),
+        "y_overflow_at_60": SyntheticSpec(a_x=0.01, b_x=3.0, a_y=12.0, b_y=0.0),
+        "shake_non_positive_at_46": SyntheticSpec(a_x=0.001, b_x=0.4, a_y=0.01, b_y=3.0,
+                                                  shake_prob=0.05, shake_scale=4.0, seed=0),
+        "sin_non_positive_at_39": SyntheticSpec(a_x=-math.pi / 2, b_x=60.0, a_y=0.01, b_y=3.0,
+                                                variant=Variant.SIN_EXPONENTIAL),
+    }
+
+    @staticmethod
+    def expected(specs, kinds, cutoff, config):
+        return outcome(lambda: [compare(*synthesize(s), kinds, cutoff, config) for s in specs])
+
+    @staticmethod
+    def counted(monkeypatch):
+        """The number of frames generated on each axis, call by call."""
+        computed = []
+        synth_axis = evaluation._synth_axis
+
+        def counting(axis, a, b, spec, rng, ts):
+            computed.append((axis, len(ts)))
+            return synth_axis(axis, a, b, spec, rng, ts)
+
+        monkeypatch.setattr(evaluation, "_synth_axis", counting)
+        return computed
+
+    def test_equals_compare_on_synthesized_series(self):
+        rng = random.Random(19)
+        specs = [
+            SyntheticSpec(a_x=rng.uniform(-0.02, 0.05), b_x=rng.uniform(2.0, 9.0),
+                          a_y=rng.uniform(-0.02, 0.05), b_y=rng.uniform(2.0, 9.0),
+                          variant=rng.choice(list(Variant)),
+                          n_frames=rng.choice((1, 2, 40, 100, 100)),
+                          noise_sigma=rng.choice((0.0, 0.03, 0.3)), shake_prob=rng.uniform(0, 0.3),
+                          shake_scale=rng.choice((0.0, 2.0, 5.0)), seed=rng.getrandbits(64))
+            for _ in range(24)
+        ]
+        # Outside the bound, so synthesized in full, but never raising: no shake, a value > 0.
+        specs += [SyntheticSpec(a_x=0.01, b_x=1.0, a_y=-0.5, b_y=2.0, noise_sigma=0.1, seed=8),
+                  *self.RAISING.values()]
+        cutoffs = (30.0, 30.5, 0.0, -1.0, -0.5, 39.0, math.nan, math.inf, -math.inf, 10**400)
+        for length in (None, 2, 31):
+            for horizon in (60, 2.5, 150):
+                config = WindowConfig(length=length, horizon=horizon)
+                for cutoff in cutoffs:
+                    for spec in specs:
+                        got = outcome(lambda: batch_compare([spec], self.KINDS, cutoff, config))
+                        want = self.expected([spec], self.KINDS, cutoff, config)
+                        assert repr(got) == repr(want), (spec, length, horizon, cutoff)
+        config = WindowConfig(horizon=60)
+        batch = [s for s in specs if s.n_frames == 100 and s not in self.RAISING.values()]
+        got = batch_compare(batch, self.KINDS, 30.0, config)
+        assert repr(got) == repr(self.expected(batch, self.KINDS, 30.0, config))
+        # With no kinds nothing is read, not even a t_target past the float range.
+        for spec in specs:
+            for cutoff, config in ((30.0, config), (10**400, WindowConfig(horizon=2.5))):
+                got = outcome(lambda: batch_compare([spec], (), cutoff, config))
+                assert repr(got) == repr(self.expected([spec], (), cutoff, config))
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_sparse_frames_keep_their_bits(self, variant):
+        spec = SyntheticSpec(a_x=0.02, b_x=3.0, a_y=-0.01, b_y=4.0, variant=variant,
+                             noise_sigma=0.05, shake_prob=0.3, shake_scale=2.0, seed=2**63 + 5)
+        full = [dict(series.samples) for series in synthesize(spec)]
+        rng = random.Random(5)
+        for _ in range(20):
+            frames = tuple(map(float, sorted(rng.sample(range(100), rng.randint(0, 100)))))
+            for axis, values, a, b, seed in ((Axis.X, full[0], spec.a_x, spec.b_x, 2 * spec.seed),
+                                             (Axis.Y, full[1], spec.a_y, spec.b_y,
+                                              2 * spec.seed + 1)):
+                got = evaluation._synth_axis(axis, a, b, spec, random.Random(seed), frames)
+                assert [v.hex() for v in got] == [values[t].hex() for t in frames]
+
+    def test_paper_cutoff_generates_32_of_100_frames(self, monkeypatch):
+        computed = self.counted(monkeypatch)
+        spec = SyntheticSpec(a_x=0.01, b_x=3.0, a_y=0.02, b_y=4.0, noise_sigma=0.02,
+                             shake_prob=0.05, shake_scale=1.5, seed=7)
+        batch_compare([spec], DEFAULT_KINDS, 30.0, WindowConfig(horizon=60))
+        assert computed == [(Axis.X, 32), (Axis.Y, 32)]
+
+    @pytest.mark.parametrize("name", RAISING)
+    def test_generation_error_in_a_passed_frame(self, name, monkeypatch):
+        spec = self.RAISING[name]
+        config = WindowConfig(horizon=60)
+        want = outcome(lambda: synthesize(spec))
+        assert want[0] is GenerationError and f"frame {name[-2:]} " in want[1]
+        computed = self.counted(monkeypatch)
+        assert outcome(lambda: batch_compare([spec], self.KINDS, 30.0, config)) == want
+        assert (Axis.X, 100) in computed
+
+    @pytest.mark.parametrize("inside", [False, True])
+    @pytest.mark.parametrize("edge", ["low", "high"])
+    def test_bound_edges(self, edge, inside, monkeypatch):
+        # a = 0 puts every frame's a*t + b at b; the bound is open at both ends.
+        sigma, shake = 0.1, 2.0
+        b = math.log(4.0 * (1.0 + shake)) + 9.0 * sigma if edge == "low" else 700.0 - 9.0 * sigma
+        if inside:
+            b = math.nextafter(b, 0.0 if edge == "high" else math.inf)
+        spec = SyntheticSpec(a_x=0.0, b_x=b, a_y=0.01, b_y=5.0, noise_sigma=sigma,
+                             shake_prob=0.5, shake_scale=shake, seed=3)
+        config = WindowConfig(horizon=60)
+        computed = self.counted(monkeypatch)
+        got = outcome(lambda: batch_compare([spec], self.KINDS, 30.0, config))
+        assert computed == [(Axis.X, 32 if inside else 100), (Axis.Y, 32 if inside else 100)]
+        assert repr(got) == repr(self.expected([spec], self.KINDS, 30.0, config))

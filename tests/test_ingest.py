@@ -545,6 +545,9 @@ class TestValueTypes:
         # Refused by name here, not blamed on the prediction or the slicing.
         ("horizon", math.nan, "horizon must be >= 1, got nan"),
         ("horizon", math.inf, "horizon is beyond the float range"),
+        ("horizon", "5", "horizon must be a number, got '5'"),
+        ("horizon", None, "horizon must be a number, got None"),
+        ("horizon", True, "horizon must be a number, got True"),
         ("length", 1, "window length must be >= 2, got 1"),
         ("length", 3.0, "window length must be an integer, got 3.0"),
         ("length", math.nan, "window length must be an integer, got nan"),
@@ -552,10 +555,20 @@ class TestValueTypes:
         ("shake_prob", 1.5, "shake_prob must be in [0, 1], got 1.5"),
         ("seed", -1, "seed must be an unsigned 64-bit integer"),
         ("seed", 2**64, "seed must be an unsigned 64-bit integer"),
+        # Named here, not blamed on frame 0 or escaping as a TypeError.
+        ("a_x", math.nan, "a_x must be finite, got nan"),
+        ("b_y", -math.inf, "b_y must be finite, got -inf"),
+        ("noise_sigma", math.inf, "noise_sigma must be finite, got inf"),
+        ("shake_scale", math.nan, "shake_scale must be finite, got nan"),
+        ("n_frames", 2.5, "n_frames must be an integer, got 2.5"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("seed", True, "seed must be an integer, got True"),
     ], ids=["kind_family", "kind_degree", "region", "window_horizon", "window_horizon_huge",
-            "window_horizon_nan", "window_horizon_inf", "window_length", "window_length_float",
+            "window_horizon_nan", "window_horizon_inf", "window_horizon_str",
+            "window_horizon_none", "window_horizon_bool", "window_length", "window_length_float",
             "window_length_nan", "spec_frames", "spec_shake_prob", "spec_seed_negative",
-            "spec_seed_64_bits"])
+            "spec_seed_64_bits", "spec_a_x_nan", "spec_b_y_inf", "spec_noise_inf",
+            "spec_shake_scale_nan", "spec_frames_float", "spec_seed_float", "spec_seed_bool"])
     def test_replace_checks_like_the_constructor(self, field, bad, message):
         value = next(v for v in CHECKED_VALUES if field in v._fields)
         with pytest.raises(ValidationError) as by_replace:
