@@ -530,8 +530,8 @@ class TestBatchCompare:
         got = batch_compare(batch, self.KINDS, 30.0, config)
         assert repr(got) == repr(self.expected(batch, self.KINDS, 30.0, config))
         # With no kinds nothing is read, not even a t_target past the float range.
-        for spec in specs:
-            for cutoff, config in ((30.0, config), (10**400, WindowConfig(horizon=2.5))):
+        for cutoff, config in ((30.0, config), (10**400, WindowConfig(horizon=2.5))):
+            for spec in specs:
                 got = outcome(lambda: batch_compare([spec], (), cutoff, config))
                 assert repr(got) == repr(self.expected([spec], (), cutoff, config))
 
