@@ -13,8 +13,11 @@ streams depend only on the documented, platform-independent ``random()``
 sequence. Every frame consumes exactly four uniforms per axis (two for
 the log-space noise deviate, one for the shake decision, one for the
 shake displacement) regardless of parameter values. ``batch_compare``
-computes only the frames ``compare`` reads and draws the four uniforms of
-every frame it passes over, so each value it computes keeps its bits.
+computes only the frames ``compare`` reads. A frame it passes over moves
+its stream by the eight 32-bit words of its four uniforms, in one
+``getrandbits`` call per chunk of up to 4096 frames, so each value it
+computes keeps its bits. That rests on CPython's word counts (``random()``
+takes two words, ``getrandbits(n)`` ceil(n / 32)), which a test pins.
 """
 
 from __future__ import annotations
@@ -83,8 +86,13 @@ class SyntheticSpec(CheckedTuple, namedtuple("SyntheticSpec", "a_x b_x a_y b_y v
         for name, value in zip(cls._fields, fields):
             if name in _SPEC_INT_KEYS and type(value) is not int:  # bool included
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
-            if name in _SPEC_FLOAT_KEYS and not -FLOAT_END < value < FLOAT_END:  # NaN included
-                raise ValidationError(f"{name} must be finite, got {value!r}")
+            if name == "variant" and type(value) is not Variant:
+                raise ValidationError(f"variant must be a Variant, got {value!r}")
+            if name in _SPEC_FLOAT_KEYS:
+                if type(value) is not float and type(value) is not int:  # bool is not a number
+                    raise ValidationError(f"{name} must be a number, got {value!r}")
+                if not -FLOAT_END < value < FLOAT_END:  # NaN included
+                    raise ValidationError(f"{name} must be finite, got {value!r}")
         if n_frames < 1:
             raise ValidationError(f"n_frames must be >= 1, got {n_frames}")
         if noise_sigma < 0:
@@ -127,18 +135,11 @@ def evaluate(
     t_target = cutoff_t + config.horizon
     actual = (_value_at(xs, t_target), _value_at(ys, t_target))
     try:
-        point = predict_endpoint(xs, ys, kind, config, cutoff_t,
-                                 clamp_nonpositive=clamp_nonpositive)
+        _, x, y, _ = predict_endpoint(xs, ys, kind, config, cutoff_t, None, clamp_nonpositive)
     except (FitError, PredictionRangeError) as exc:
         return ErrorReport(kind, None, None, t_target, None, actual, failure=str(exc))
-    return ErrorReport(
-        kind=kind,
-        err_x_pct=error_rate(point.x, actual[0]),
-        err_y_pct=error_rate(point.y, actual[1]),
-        t_target=t_target,
-        predicted=(point.x, point.y),
-        actual=actual,
-    )
+    return tuple.__new__(ErrorReport, (kind, error_rate(x, actual[0]), error_rate(y, actual[1]),
+                                       t_target, (x, y), actual, None))
 
 
 def compare(
@@ -162,7 +163,7 @@ def _synth_axis(axis: Axis, a: float, b: float, spec: SyntheticSpec, rng: random
     # The Box-Muller transform is inlined and everything that does not change
     # per frame is looked up once; each value is the same expression, over
     # the same uniforms in the same order, as the documented generator.
-    uniform = rng.random
+    uniform, skip, inf = rng.random, rng.getrandbits, math.inf
     exp, log, sqrt, cos, isfinite = math.exp, math.log, math.sqrt, math.cos, math.isfinite
     two_pi = 2.0 * math.pi
     offset = math.sin(a) if spec.variant is Variant.SIN_EXPONENTIAL else 0.0
@@ -170,31 +171,27 @@ def _synth_axis(axis: Axis, a: float, b: float, spec: SyntheticSpec, rng: random
     values = []
     frame = 0.0  # the t of the next frame to draw
     for t in ts:
-        while frame < t:  # a frame passed over still draws its four uniforms
-            uniform(), uniform(), uniform(), uniform()
-            frame += 1.0
-        frame += 1.0
+        if frame < t:  # passed-over frames move the stream by their uniforms' 8 words each,
+            for left in range(int(t - frame), 0, -4096):  # in chunks of at most 128 KiB
+                skip(256 * min(left, 4096))
+        frame = t + 1.0
         # 1 - random() keeps the log argument in (0, 1].
         u1 = 1.0 - uniform()
         u2 = uniform()
         noise = sqrt(-2.0 * log(u1)) * cos(two_pi * u2)
         shake_decision = uniform()
-        shake_offset = shake_scale * (2.0 * uniform() - 1.0)
+        shake_u = uniform()
         try:
             value = (exp(a * t + b) + offset) * exp(sigma * noise)
         except OverflowError:  # refused below, as is a product that overflows to inf
-            value = math.inf
+            value = inf
         if shake_decision < shake_prob:
-            value += shake_offset
-        if not isfinite(value):
+            value += shake_scale * (2.0 * shake_u - 1.0)
+        if not 0.0 < value < inf:
             raise GenerationError(
                 f"generated value overflows at frame {int(t)} on the {axis.value} axis"
-            )
-        if not value > 0.0:
-            raise GenerationError(
-                f"generated non-positive value {value!r} at frame {int(t)} "
-                f"on the {axis.value} axis"
-            )
+                if not isfinite(value) else f"generated non-positive value {value!r} "
+                f"at frame {int(t)} on the {axis.value} axis")
         values.append(value)
     return tuple(values)
 
@@ -300,17 +297,23 @@ def batch_compare(
     """Score many synthetic trajectories, one ``compare`` per spec.
 
     Each spec's generator computes only the frames ``compare`` reads (the
-    window at cutoff_t and the frame at cutoff_t + horizon) and draws the four
-    uniforms of each frame it passes over, so every value has the bits
-    ``synthesize`` gives it. A spec that a bound cannot prove free of a
-    ``GenerationError`` on every frame is synthesized in full, and raises it.
+    window at cutoff_t and the frame at cutoff_t + horizon) and moves the
+    stream past each frame it passes over, so every value has the bits
+    ``synthesize`` gives it. Specs share one t column while ``n_frames``
+    repeats. A spec that a bound cannot prove free of a ``GenerationError``
+    on every frame is synthesized in full, and raises it.
     """
-    return [compare(*_synthesize_read(spec, kinds, cutoff_t, config), kinds, cutoff_t, config)
-            for spec in specs]
+    ts: tuple[float, ...] = ()  # the last t column, shared while n_frames repeats
+    reports = []
+    for spec in specs:
+        if len(ts) != spec.n_frames:
+            ts = tuple(map(float, range(spec.n_frames)))
+        reports.append(compare(*_synthesize_read(spec, ts, kinds, cutoff_t, config), kinds,
+                               cutoff_t, config))
+    return reports
 
 
-def _synthesize_read(spec, kinds, cutoff_t, config) -> tuple[AxisSeries, AxisSeries]:
-    ts = tuple(map(float, range(spec.n_frames)))
+def _synthesize_read(spec, ts, kinds, cutoff_t, config) -> tuple[AxisSeries, AxisSeries]:
     # |Box-Muller deviate| < 8.58 and |sin(a)| <= 1. With every a*t + b (monotone
     # in t) inside this range, each value lies between 3 * (1 + shake_scale) and
     # 2 * e**700: finite and positive, with room to spare for rounding. With no
@@ -319,7 +322,7 @@ def _synthesize_read(spec, kinds, cutoff_t, config) -> tuple[AxisSeries, AxisSer
     low = math.log(4.0 * (1.0 + spec.shake_scale)) + s
     if not kinds or not all(low < a * t + b < 700.0 - s for a, b in
                             ((spec.a_x, spec.b_x), (spec.a_y, spec.b_y)) for t in (0.0, ts[-1])):
-        return synthesize(spec)
+        return _synthesize_at(spec, ts)
     # The tests of ``_value_at``, then of ``window``, in the order ``evaluate`` makes them.
     t_target = cutoff_t + config.horizon
     i = bisect_left(ts, t_target)

@@ -581,3 +581,44 @@ class TestBatchCompare:
         got = outcome(lambda: batch_compare([spec], self.KINDS, 30.0, config))
         assert computed == [(Axis.X, 32 if inside else 100), (Axis.Y, 32 if inside else 100)]
         assert repr(got) == repr(self.expected([spec], self.KINDS, 30.0, config))
+
+    # The skip rests on CPython's word counts, not on documented API: random()
+    # draws two 32-bit Mersenne Twister words and getrandbits(n) ceil(n / 32).
+    @pytest.mark.parametrize("gap", [1, 59, 4095, 4096, 4097, 10000])
+    def test_skip_moves_the_stream_like_drawn_frames(self, gap):
+        drawn = random.Random(11)
+        for _ in range(4 * gap):
+            drawn.random()
+        skipped = random.Random(11)
+        skipped.getrandbits(256 * gap)
+        assert skipped.getstate() == drawn.getstate()
+        # _synth_axis passes over frames 0 .. gap - 1 and draws frame gap.
+        spec = SyntheticSpec(a_x=0.0, b_x=2.0, a_y=0.0, b_y=2.0, n_frames=gap + 1)
+        through = random.Random(11)
+        evaluation._synth_axis(Axis.X, 0.0, 2.0, spec, through, (float(gap),))
+        for _ in range(4):
+            drawn.random()
+        assert through.getstate() == drawn.getstate()
+
+    def test_sparse_frames_past_the_skip_chunk(self):
+        spec = SyntheticSpec(a_x=0.0005, b_x=3.0, a_y=-0.0002, b_y=5.0,
+                             variant=Variant.SIN_EXPONENTIAL, n_frames=10000, noise_sigma=0.05,
+                             shake_prob=0.3, shake_scale=2.0, seed=23)
+        frames = (0.0, 1.0, 5000.0, 9999.0)
+        for series, a, b, seed in zip(synthesize(spec), (spec.a_x, spec.a_y),
+                                      (spec.b_x, spec.b_y), (2 * spec.seed, 2 * spec.seed + 1)):
+            values = dict(series.samples)
+            got = evaluation._synth_axis(series.axis, a, b, spec, random.Random(seed), frames)
+            assert [v.hex() for v in got] == [values[t].hex() for t in frames]
+
+    def test_specs_of_changing_length(self):
+        # The t column is built once and reused while n_frames repeats.
+        specs = [SyntheticSpec(a_x=0.01, b_x=3.0 + i, a_y=0.02, b_y=4.0, n_frames=n,
+                               noise_sigma=0.03, shake_prob=0.2, shake_scale=1.0, seed=i)
+                 for i, n in enumerate((100, 40, 100, 1))]
+        for cutoff, horizon in ((30.0, 5), (30.0, 60), (-1.0, 1), (0.0, 1)):
+            config = WindowConfig(horizon=horizon)
+            for k in range(1, len(specs) + 1):
+                got = outcome(lambda: batch_compare(specs[:k], self.KINDS, cutoff, config))
+                want = self.expected(specs[:k], self.KINDS, cutoff, config)
+                assert repr(got) == repr(want), (cutoff, horizon, k)

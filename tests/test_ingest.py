@@ -563,12 +563,21 @@ class TestValueTypes:
         ("n_frames", 2.5, "n_frames must be an integer, got 2.5"),
         ("seed", 1.5, "seed must be an integer, got 1.5"),
         ("seed", True, "seed must be an integer, got True"),
+        # Named here, not generating the pure-exponential trajectory.
+        ("variant", "sin_exponential", "variant must be a Variant, got 'sin_exponential'"),
+        ("variant", None, "variant must be a Variant, got None"),
+        # Named before the finiteness test, not escaping as a TypeError.
+        ("a_x", "1", "a_x must be a number, got '1'"),
+        ("shake_prob", None, "shake_prob must be a number, got None"),
+        ("noise_sigma", True, "noise_sigma must be a number, got True"),
     ], ids=["kind_family", "kind_degree", "region", "window_horizon", "window_horizon_huge",
             "window_horizon_nan", "window_horizon_inf", "window_horizon_str",
             "window_horizon_none", "window_horizon_bool", "window_length", "window_length_float",
             "window_length_nan", "spec_frames", "spec_shake_prob", "spec_seed_negative",
             "spec_seed_64_bits", "spec_a_x_nan", "spec_b_y_inf", "spec_noise_inf",
-            "spec_shake_scale_nan", "spec_frames_float", "spec_seed_float", "spec_seed_bool"])
+            "spec_shake_scale_nan", "spec_frames_float", "spec_seed_float", "spec_seed_bool",
+            "spec_variant_str", "spec_variant_none", "spec_a_x_str", "spec_shake_prob_none",
+            "spec_noise_bool"])
     def test_replace_checks_like_the_constructor(self, field, bad, message):
         value = next(v for v in CHECKED_VALUES if field in v._fields)
         with pytest.raises(ValidationError) as by_replace:
