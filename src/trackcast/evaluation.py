@@ -23,7 +23,6 @@ takes two words, ``getrandbits(n)`` ceil(n / 32)), which a test pins.
 from __future__ import annotations
 
 import math
-import random
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
@@ -202,6 +201,8 @@ def synthesize(spec: SyntheticSpec) -> tuple[AxisSeries, AxisSeries]:
 
 
 def _synthesize_at(spec: SyntheticSpec, ts: tuple[float, ...]) -> tuple[AxisSeries, AxisSeries]:
+    import random
+
     xs = _synth_axis(Axis.X, spec.a_x, spec.b_x, spec, random.Random(2 * spec.seed), ts)
     ys = _synth_axis(Axis.Y, spec.a_y, spec.b_y, spec, random.Random(2 * spec.seed + 1), ts)
     return AxisSeries._from_columns(Axis.X, ts, xs), AxisSeries._from_columns(Axis.Y, ts, ys)

@@ -3,16 +3,21 @@
 Parses per-frame bounding boxes from JSONL or CSV streams, deduplicates
 them to one box per frame, and converts the surviving boxes into
 time-stamped center-point observations split into per-axis series.
+
+Both parsers read the text in pieces of about 64 Ki characters that end at
+a line feed, so a parse holds the text, its records and one piece's lines,
+never a second copy of the whole text. Records with equal labels share one
+str.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from enum import Enum
+from itertools import chain
 from json.scanner import make_scanner
 from operator import attrgetter, lt
 
@@ -178,6 +183,19 @@ _JSON_WHITESPACE = " \t\n\r"
 _INF = float("inf")
 
 
+_CHUNK = 1 << 16  # the least length of a piece of text that the parsers read at once
+
+
+def _chunks(text: str) -> Iterable[str]:
+    """``text`` in pieces of at least ``_CHUNK`` characters but the last, each
+    ending just after a line feed: no line is split, nor a CR LF pair."""
+    start, size = 0, len(text)
+    while start < size:
+        end = text.find("\n", start + _CHUNK - 1) + 1 or size
+        yield text[start:end]
+        start = end
+
+
 def _load_json_line(line: str, line_no: int):
     try:
         return json.loads(line)
@@ -187,15 +205,24 @@ def _load_json_line(line: str, line_no: int):
         raise ParseError(f"line {line_no}: invalid JSON ({exc})") from None
 
 
-def _parse_jsonl(text: str) -> list[DetectionRecord]:
+def _jsonl_lines(piece: str) -> list[str]:
     # Lines end at \n, \r\n or \r only: str.splitlines() would also split
     # at U+2028, U+2029 and U+0085, which JSON allows raw inside a string.
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if "\r" in piece:
+        piece = piece.replace("\r\n", "\n").replace("\r", "\n")
+    lines = piece.split("\n")
+    if not lines[-1]:  # the empty string after the piece's final \n
+        lines.pop()
+    return lines
+
+
+def _parse_jsonl(text: str) -> list[DetectionRecord]:
     scan, new, record_class, inf = _scan_json, tuple.__new__, DetectionRecord, _INF
+    shared = {}.setdefault  # one str per distinct label
     records = []
     append = records.append
-    for line_no, line in enumerate(text.split("\n"), start=1):
+    for line_no, line in enumerate(chain.from_iterable(map(_jsonl_lines, _chunks(text))),
+                                   start=1):
         try:
             obj, end = scan(line, 0)
             if end != len(line) and line[end:].lstrip(_JSON_WHITESPACE):
@@ -223,7 +250,8 @@ def _parse_jsonl(text: str) -> list[DetectionRecord]:
                     and 0.0 < width < inf and 0.0 < height < inf
                     and left + width / 2.0 < inf and top + height / 2.0 < inf
                     and 0.0 <= confidence <= 1.0):
-                append(new(record_class, (frame, left, top, width, height, confidence, label)))
+                append(new(record_class, (frame, left, top, width, height, confidence,
+                                          shared(label, label))))
                 continue
         append(_json_record(obj, line_no))
     return records
@@ -242,8 +270,16 @@ def _json_record(obj, line_no: int) -> DetectionRecord:
                            obj.get("confidence", 1.0), obj.get("label", ""))
 
 
+def _csv_lines(text: str) -> Iterable[str]:
+    """The lines that ``io.StringIO(text, newline="")`` yields, drawn from one
+    such file per piece of ``_chunks``, which splits no line."""
+    return chain.from_iterable(io.StringIO(piece, newline="") for piece in _chunks(text))
+
+
 def _parse_csv(text: str) -> list[DetectionRecord]:
-    reader = csv.reader(io.StringIO(text, newline=""))
+    import csv
+
+    reader = csv.reader(_csv_lines(text))
     try:
         return _read_csv(reader)
     except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
@@ -258,6 +294,7 @@ def _read_csv(reader) -> list[DetectionRecord]:
     if header != CSV_HEADER:
         raise ParseError(f"line 1: CSV header must be exactly '{','.join(CSV_HEADER)}'")
     new, record_class, inf = tuple.__new__, DetectionRecord, _INF
+    shared = {}.setdefault  # one str per distinct label
     records = []
     append = records.append
     for row in reader:
@@ -276,7 +313,8 @@ def _read_csv(reader) -> list[DetectionRecord]:
                     and 0.0 < width < inf and 0.0 < height < inf
                     and left + width / 2.0 < inf and top + height / 2.0 < inf
                     and 0.0 <= confidence <= 1.0):
-                append(new(record_class, (frame, left, top, width, height, confidence, label)))
+                append(new(record_class, (frame, left, top, width, height, confidence,
+                                          shared(label, label))))
                 continue
         if row:
             append(_csv_record(row, reader.line_num))
@@ -360,6 +398,8 @@ def render_detections(records: Iterable[DetectionRecord], fmt: StreamFormat) -> 
     # before 3.13 that is all it checks. With "\r\n" a label holding a lone CR
     # is quoted too, so the parser does not read the CR as a line end; each
     # row's "\r\n" is then cut back to "\n".
+    import csv
+
     rows = _Rows()
     writer = csv.writer(rows, lineterminator="\r\n")
     writer.writerow(CSV_HEADER)

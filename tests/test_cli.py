@@ -639,9 +639,11 @@ class TestParserReuse:
 def test_start_up_imports_no_thread_pool():
     # Neither the package nor the CLI loads these at start-up: dataclasses and
     # typing (with inspect, which dataclasses pulls in) cost more to import
-    # than the rest of the package, and the thread pool is opt-in.
+    # than the rest of the package, and the thread pool is opt-in. csv and
+    # random are imported by the functions that read or write CSV and that
+    # generate a trajectory, which most calls never reach.
     src = Path(trackcast.__file__).resolve().parent.parent
-    heavy = ["dataclasses", "typing", "inspect", "concurrent.futures"]
+    heavy = ["dataclasses", "typing", "inspect", "concurrent.futures", "csv", "random"]
     for module in ("trackcast", "trackcast.cli"):
         result = subprocess.run(
             [sys.executable, "-S", "-c",

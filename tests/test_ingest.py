@@ -1,9 +1,11 @@
 import copy
+import io
 import math
 import json
 import pickle
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -907,3 +909,136 @@ def test_select_matches_tuple_comparison_on_odd_values():
     ]
     assert [r.label for r in select_per_frame(records)] == \
         [r.label for r in select_reference(records)]
+
+
+# Both parsers read the text in pieces of about ingest._CHUNK characters that
+# end at a line feed. Each text below must parse to the same records, or fail
+# with the same error and line number, at every piece size as it does read in
+# one piece; each is also read with a bad line appended, so that a line number
+# after every construct is checked.
+_J = '{{"frame": {}, "left": 1.5, "top": 2.5, "width": 3.0, "height": 4.0, "label": "{}"}}'
+_C = "{},1.5,2.5,3.0,4.0,,{}"
+_HEADER = ",".join(CSV_HEADER)
+
+
+def _rows(fmt, labels, sep):
+    line = _J if fmt is StreamFormat.JSONL else _C
+    rows = [line.format(i, label) for i, label in enumerate(labels)]
+    return sep.join(rows if fmt is StreamFormat.JSONL else [_HEADER, *rows])
+
+
+CHUNK_TEXTS = {
+    **{f"{name}-{fmt.value}": (fmt, _rows(fmt, ["a", "b", "c"], sep) + end)
+       for fmt in StreamFormat
+       for name, sep, end in [("lf", "\n", "\n"), ("cr", "\r", "\r"), ("crlf", "\r\n", "\r\n"),
+                              ("final_cr", "\n", "\r"), ("no_final_newline", "\n", ""),
+                              ("mixed", "\r\n", "\n\r\r\n\r")]},
+    **{f"blank_lines-{fmt.value}": (fmt, "\n" + _rows(fmt, ["a", "b"], "\n \n\n\r\n") + "\n\n")
+       for fmt in StreamFormat},
+    **{f"empty-{fmt.value}": (fmt, "") for fmt in StreamFormat},
+    **{f"only_line_ends-{fmt.value}": (fmt, "\n\r\n\r\r") for fmt in StreamFormat},
+    # str.splitlines() would split at each of these; neither parser may.
+    **{f"raw_separators-{fmt.value}": (
+        fmt, _rows(fmt, ["a\x85b", "a\u2028b", "a\u2029b", "c"], "\n") + "\n")
+       for fmt in StreamFormat},
+    "raw_vt-jsonl": (StreamFormat.JSONL, _rows(StreamFormat.JSONL, ["a", "a\x0bb"], "\n")),
+    "raw_vt-csv": (StreamFormat.CSV, _rows(StreamFormat.CSV, ["a", "a\x0bb", "\x0c"], "\n")),
+    "separator_outside_string-jsonl": (StreamFormat.JSONL,
+                                       _rows(StreamFormat.JSONL, ["a"], "") + "\u2028\n"),
+    "quoted_line_ends-csv": (StreamFormat.CSV, _rows(
+        StreamFormat.CSV, ['"a\nb"', '"a\r\nb"', '"a\rb"', '"\n\n"', "c"], "\n")),
+    "unclosed_quote-csv": (StreamFormat.CSV, _rows(StreamFormat.CSV, ["a", '"b\n\nc'], "\r\n")),
+    "over_limit_field-csv": (StreamFormat.CSV,
+                             _rows(StreamFormat.CSV, ["a", "x" * 200_000, "c"], "\n")),
+    # Longer than one default piece, so the default size has boundaries too.
+    **{f"long-{fmt.value}": (fmt, _rows(fmt, ["rebar_endpoint"] * 4000, "\n") + "\n")
+       for fmt in StreamFormat},
+}
+_BAD_LINE = {StreamFormat.JSONL: "{bad\n", StreamFormat.CSV: "1,2\n"}
+
+
+def parse_in_pieces(monkeypatch, text, fmt, chunk):
+    monkeypatch.setattr(ingest, "_CHUNK", chunk)
+    return outcome(parse_detections, text, fmt)
+
+
+class TestChunkedReading:
+    @pytest.mark.parametrize("bad_line", [False, True], ids=["as_is", "bad_line_after"])
+    @pytest.mark.parametrize("fmt, text", CHUNK_TEXTS.values(), ids=CHUNK_TEXTS.keys())
+    def test_same_outcome_at_every_piece_size(self, fmt, text, bad_line, monkeypatch):
+        if bad_line:
+            text += _BAD_LINE[fmt]
+        whole = parse_in_pieces(monkeypatch, text, fmt, len(text) + 1)
+        for chunk in (1, 2, 7, 1 << 16):
+            assert parse_in_pieces(monkeypatch, text, fmt, chunk) == whole, chunk
+
+    @pytest.mark.parametrize("fmt, text", CHUNK_TEXTS.values(), ids=CHUNK_TEXTS.keys())
+    def test_csv_line_source_is_that_of_one_file(self, fmt, text, monkeypatch):
+        for chunk in (1, 2, 7, 1 << 16):
+            monkeypatch.setattr(ingest, "_CHUNK", chunk)
+            assert list(ingest._csv_lines(text)) == list(io.StringIO(text, newline=""))
+            pieces = list(ingest._chunks(text))
+            assert "".join(pieces) == text
+            assert all(p.endswith("\n") and len(p) >= chunk for p in pieces[:-1])
+
+    def test_pinned_outcomes(self):
+        # The reference read above is today's whole-text read; these pin a few
+        # of its outcomes, so that both cannot drift together.
+        def parse(name, bad_line=False):
+            fmt, text = CHUNK_TEXTS[name]
+            return outcome(parse_detections, text + (_BAD_LINE[fmt] if bad_line else ""), fmt)
+
+        assert [r.label for r in parse("mixed-jsonl")] == ["a", "b", "c"]
+        assert parse("mixed-jsonl", True) == (
+            ParseError, "line 7: invalid JSON (Expecting property name enclosed in double quotes)")
+        assert parse("mixed-csv", True) == (ParseError, "line 8: expected 7 fields, got 2")
+        assert parse("final_cr-csv", True) == (ParseError, "line 5: expected 7 fields, got 2")
+        assert [r.label for r in parse("raw_separators-csv")] == [
+            "a\x85b", "a\u2028b", "a\u2029b", "c"]
+        assert parse("raw_vt-jsonl")[1].startswith("line 2: invalid JSON (Invalid control")
+        assert [r.label for r in parse("quoted_line_ends-csv")] == [
+            "a\nb", "a\r\nb", "a\rb", "\n\n", "c"]
+        assert parse("quoted_line_ends-csv", True) == (  # the bad line joins "c"'s row
+            ParseError, "line 11: expected 7 fields, got 8")
+        assert parse("over_limit_field-csv") == (
+            ParseError, "line 3: field larger than field limit (131072)")
+        assert parse("long-jsonl", True) == (ParseError, "line 4001: invalid JSON "
+                                             "(Expecting property name enclosed in double quotes)")
+        assert parse("empty-jsonl") == []
+        assert parse("empty-csv") == (ParseError, "line 1: missing CSV header")
+
+    @pytest.mark.parametrize("fmt", list(StreamFormat), ids=lambda f: f.value)
+    def test_random_hostile_texts(self, fmt, monkeypatch):
+        rng = random.Random(21)
+        start = "" if fmt is StreamFormat.JSONL else _HEADER
+        fragments = [_J.format(3, "x"), _C.format(4, "y"), _C.format(5, '"q\r\nq"'), "\n", "\r",
+                     "\r\n", " ", '"', ",", "{", "\x0b", "\x85", "\u2028", "1.5", "}"]
+        for _ in range(300):
+            text = start + "".join(rng.choice(fragments) for _ in range(rng.randint(0, 12)))
+            whole = parse_in_pieces(monkeypatch, text, fmt, len(text) + 1)
+            for chunk in (1, 2, 3, 7):
+                assert parse_in_pieces(monkeypatch, text, fmt, chunk) == whole, (text, chunk)
+
+
+@pytest.mark.parametrize("fmt", list(StreamFormat), ids=lambda f: f.value)
+def test_parse_holds_little_beside_the_text_and_records(fmt):
+    # What a parse allocates and frees again, its peak less what it keeps,
+    # stays below the text's length: it holds no copy of the text, whose
+    # StringIO took four bytes a character and whose list of lines about 1.4.
+    rng = random.Random(5)
+    records = [DetectionRecord(i, rng.uniform(0, 500), rng.uniform(0, 500), rng.uniform(1, 20),
+                               rng.uniform(1, 20), rng.random(),
+                               "rebar_endpoint" if i % 7 else "decoy")
+               for i in range(20_000)]
+    text = render_detections(records, fmt)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        parsed = parse_detections(text, fmt)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parsed == records
+    assert peak - held < len(text), (peak - before, held - before, len(text))
+    # Records with equal labels share one str.
+    assert len({id(r.label) for r in parsed}) == 2

@@ -101,6 +101,15 @@ class TestFitLinear:
         assert fit.slope == pytest.approx(slope, abs=1e-12)
         assert fit.intercept == pytest.approx(intercept, abs=1e-12)
 
+    def test_unsorted_and_repeated_t(self):
+        # fit_linear takes pairs in any order. A t half reused by translation
+        # from the half of 0..n-1 would need t strictly increasing by one: the
+        # span test (last - first == n - 1) alone passes both columns below
+        # and gives slope 1.5 for each.
+        assert fit_linear([(0, 1.0), (2, 5.0), (1, 2.0), (3, 7.0)]).slope == 2.1
+        assert tuple(fit_linear([(0.0, 1.0), (1.0, 5.0), (1.0, 2.0), (3.0, 7.0)])) == (
+            1.9473684210526316, 1.3157894736842106)
+
     def test_matches_normal_equations_oracle(self):
         rng = random.Random(101)
         for _ in range(100):
