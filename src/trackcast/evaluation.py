@@ -201,11 +201,13 @@ def synthesize(spec: SyntheticSpec) -> tuple[AxisSeries, AxisSeries]:
 
 
 def _synthesize_at(spec: SyntheticSpec, ts: tuple[float, ...]) -> tuple[AxisSeries, AxisSeries]:
+    """The X and Y series at the frames ``ts``, floats of ``range`` values, so whole."""
     import random
 
     xs = _synth_axis(Axis.X, spec.a_x, spec.b_x, spec, random.Random(2 * spec.seed), ts)
     ys = _synth_axis(Axis.Y, spec.a_y, spec.b_y, spec, random.Random(2 * spec.seed + 1), ts)
-    return AxisSeries._from_columns(Axis.X, ts, xs), AxisSeries._from_columns(Axis.Y, ts, ys)
+    return (AxisSeries._from_columns(Axis.X, ts, xs, True),
+            AxisSeries._from_columns(Axis.Y, ts, ys, True))
 
 
 _SPEC_FLOAT_KEYS = ("a_x", "b_x", "a_y", "b_y", "noise_sigma", "shake_prob", "shake_scale")

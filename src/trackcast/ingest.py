@@ -91,11 +91,17 @@ class AxisSeries:
     it is built, so results derived from it can be kept on it:
     ``trajectory.window`` keeps its last window in ``_window`` and
     ``regression.fit_model`` its exponential-family line in ``_log_line`` or
-    ``_log_line_clamped``. Equality, hashing and ``repr`` see only ``axis``
-    and ``samples``, which are read-only properties.
+    ``_log_line_clamped``. ``_whole`` is True only when every t is known to
+    be a float holding a whole number: ``build_series`` tests it,
+    ``evaluation`` sets it on the frames it generates, ``trajectory.window``
+    keeps it on its slices, and the public constructor leaves it False.
+    ``regression`` reads it to take a gap-free window's t half by
+    translation. Equality, hashing and ``repr`` see only ``axis`` and
+    ``samples``, which are read-only properties, and read them from the
+    columns, so none of them builds and keeps the pairs.
     """
 
-    __slots__ = ("_axis", "_ts", "_vs", "_samples", "_window", "_log_line",
+    __slots__ = ("_axis", "_ts", "_vs", "_whole", "_samples", "_window", "_log_line",
                  "_log_line_clamped")
 
     axis = property(attrgetter("_axis"))
@@ -107,12 +113,14 @@ class AxisSeries:
         return cls._from_columns(axis, ts, tuple([v for _, v in samples]))
 
     @classmethod
-    def _from_columns(cls, axis: Axis, ts: tuple[float, ...],
-                      vs: tuple[float, ...]) -> "AxisSeries":
+    def _from_columns(cls, axis: Axis, ts: tuple[float, ...], vs: tuple[float, ...],
+                      whole: bool = False) -> "AxisSeries":
         """A series of columns already known to be equally long and strictly
-        increasing in t, such as slices of another series; nothing is checked."""
+        increasing in t, such as slices of another series, and ``whole`` only
+        if every t is known to be a float holding a whole number; nothing is
+        checked."""
         series = object.__new__(cls)
-        series._axis, series._ts, series._vs = axis, ts, vs
+        series._axis, series._ts, series._vs, series._whole = axis, ts, vs, whole
         series._samples = series._window = series._log_line = series._log_line_clamped = None
         return series
 
@@ -131,14 +139,17 @@ class AxisSeries:
             return NotImplemented
         return (self._axis, self._ts, self._vs) == (other._axis, other._ts, other._vs)
 
+    # Hashing and repr zip the columns into pairs that are dropped after use,
+    # so the hash stays that of (axis, samples) and the text stays the same.
     def __hash__(self) -> int:
-        return hash((self.axis, self.samples))
+        return hash((self._axis, tuple(zip(self._ts, self._vs))))
 
     def __repr__(self) -> str:
-        return f"{self.__class__.__qualname__}(axis={self.axis!r}, samples={self.samples!r})"
+        return (f"{self.__class__.__qualname__}(axis={self._axis!r}, "
+                f"samples={tuple(zip(self._ts, self._vs))!r})")
 
-    def __reduce__(self):  # copy and pickle rebuild the fields; the memos start empty
-        return self.__class__, (self.axis, self.samples)
+    def __reduce__(self):  # copy and pickle rebuild the columns; the memos start empty
+        return self.__class__._from_columns, (self._axis, self._ts, self._vs, self._whole)
 
 
 def _require_increasing(axis: Axis, ts: Sequence[float]) -> None:
@@ -437,7 +448,13 @@ def to_observation(record: DetectionRecord) -> tuple[float, float, float]:
 
 
 def build_series(observations: list[tuple[float, float, float]]) -> tuple[AxisSeries, AxisSeries]:
-    """Split (t, x, y) triples into an X and a Y series that share one t column."""
+    """Split (t, x, y) triples into an X and a Y series that share one t column,
+    marked whole when every t is a float holding a whole number."""
     ts, xs, ys = zip(*observations) if observations else ((), (), ())
     _require_increasing(Axis.X, ts)  # the t column both series share, checked once
-    return AxisSeries._from_columns(Axis.X, ts, xs), AxisSeries._from_columns(Axis.Y, ts, ys)
+    try:  # float(frame), as to_observation gives it, holds a whole number
+        whole = all(map(float.is_integer, ts))
+    except TypeError:  # a t that is not a float, such as an int
+        whole = False
+    return (AxisSeries._from_columns(Axis.X, ts, xs, whole),
+            AxisSeries._from_columns(Axis.Y, ts, ys, whole))

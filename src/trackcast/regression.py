@@ -15,9 +15,12 @@ back to raw-t powers and the conditioning guard's verdict depend on t alone,
 as do a line's t mean and deviations, so that work is done once per t column
 (and degree) and kept in a module-level memo of the last column; both axes
 of a window, and every batch spec with the same frames, only take their
-values' sums and dot products. The memo is shared by all threads: each fit
-reads the column and its table in one step, and a concurrent replacement at
-worst repeats the same work.
+values' sums and dot products. A line on a window of consecutive whole
+frames, which each new cutoff of a rolling replay brings, takes its t half
+from a second memo instead: that of 0 .. n-1 for the last length n, moved
+by the window's first t. The memos are shared by all threads: each fit
+reads a memo in one step, and a concurrent replacement at worst repeats the
+same work.
 """
 
 from __future__ import annotations
@@ -125,33 +128,59 @@ def fit_linear(pairs: Sequence[tuple[float, float]] | AxisSeries) -> LinearFit:
     """Ordinary least squares line through (t, v) pairs, or through the
     columns of a series."""
     if pairs.__class__ is AxisSeries:
-        ts, vs = pairs._ts, pairs._vs
-    else:
+        ts, vs, whole = pairs._ts, pairs._vs, pairs._whole
+    else:  # pairs may come in any order, so their t is never taken as whole
         ts, vs = zip(*pairs) if pairs else ((), ())
+        whole = False
     n = len(ts)
     if n < 2:
         raise InsufficientDataError(f"linear fit needs at least 2 pairs, got {n}")
-    return _line(ts, vs)
+    return _line(ts, vs, whole)
 
 
-def _line(ts: tuple[float, ...], vs: Sequence[float]) -> LinearFit:
-    """The least-squares line through the columns ``ts`` and ``vs``. The t
-    half comes from ``_t_only``, which refuses a t column with no slope; a
-    line past the float range is left to ``_rescaled_line``.
+# (n, then _center's t mean, deviations and sum of squares for 0 .. n-1) for
+# the last length a line on whole consecutive t saw; another length replaces it.
+_template: tuple = (0, 0.0, (), 0.0)
+
+
+def _line(ts: tuple[float, ...], vs: Sequence[float], whole: bool) -> LinearFit:
+    """The least-squares line through the columns ``ts`` and ``vs``, with at
+    least two samples. The t half comes from ``_t_only``, which refuses a t
+    column with no slope; a line past the float range is left to
+    ``_rescaled_line``.
+
+    ``whole`` says that ``ts`` is strictly increasing and every t a float
+    holding a whole number, as an ``AxisSeries`` marks it. Such a column
+    whose ends lie n - 1 apart holds the n consecutive whole numbers from
+    its first, and when n times its largest |t| is below 2**53 every partial
+    sum ``_center`` forms is an exact integer. Its t half is then that of
+    0 .. n-1 moved by the first t: the mean plus the first t, the same
+    deviations and the same sum of squares, bit for bit. That half is kept
+    for one length, read in one step, so that threads agree.
 
     Every sum is a plain left-to-right one, as the builtin sum() gives it
     before CPython 3.12, which compensates float sums, and every square is
     the product d * d, never d ** 2, which calls the C library's pow() and
     some libraries round wrongly: the same bits on every version and platform.
     """
-    t_mean, ds, s_tt = _t_only(ts, 0)
+    global _template
+    n = len(ts)
+    first = ts[0]
+    if whole and ts[-1] - first == n - 1 and -2.0**53 < n * first and n * ts[-1] < 2.0**53:
+        size, t_mean, ds, s_tt = _template
+        if size != n:
+            t_mean, ds, s_tt = _center(tuple(map(float, range(n))))
+            _template = (n, t_mean, ds, s_tt)
+        t_mean += first
+    else:
+        t_mean, ds, s_tt = _t_only(ts, 0)
     sv = 0.0
     try:
         for v in vs:
             sv += v
     except OverflowError:  # an int value past the float range
-        return _rescaled_line(ts, vs)
-    v_mean = sv / len(vs)
+        return _rescaled_line(ts, vs, whole)
+    v_mean = sv / n
     s_tv = 0.0
     for d, v in zip(ds, vs):
         s_tv += d * (v - v_mean)
@@ -159,16 +188,16 @@ def _line(ts: tuple[float, ...], vs: Sequence[float]) -> LinearFit:
     intercept = v_mean - slope * t_mean
     if isfinite(slope) and isfinite(intercept):
         return tuple.__new__(LinearFit, (slope, intercept))
-    return _rescaled_line(ts, vs)
+    return _rescaled_line(ts, vs, whole)
 
 
-def _rescaled_line(ts: tuple[float, ...], vs: Sequence[float]) -> LinearFit:
+def _rescaled_line(ts: tuple[float, ...], vs: Sequence[float], whole: bool) -> LinearFit:
     """A line past the float range, fitted again over its values scaled by a power of two
     (exact) and scaled back; refused if they were of unit scale or it stays past the range."""
     _require_finite(vs)
     exponent = math.frexp(max(map(abs, vs)))[1]
     if exponent:
-        slope, intercept = _line(ts, [math.ldexp(v, -exponent) for v in vs])
+        slope, intercept = _line(ts, [math.ldexp(v, -exponent) for v in vs], whole)
         try:
             return LinearFit(math.ldexp(slope, exponent), math.ldexp(intercept, exponent))
         except OverflowError:
@@ -266,7 +295,7 @@ def _log_line(series: AxisSeries, kind: ModelKind, clamp_nonpositive: bool) -> L
                     )
                 v = CLAMP_FLOOR
             logs.append(math.log(v))
-    line = _line(series._ts, logs)
+    line = _line(series._ts, logs, series._whole)
     if clamp_nonpositive:
         series._log_line_clamped = line
     else:

@@ -18,6 +18,9 @@ class Region(CheckedTuple, namedtuple("Region", "x_min x_max y_min y_max")):
     __slots__ = ()
 
     def __new__(cls, x_min: float, x_max: float, y_min: float, y_max: float) -> "Region":
+        for name, value in zip(cls._fields, (x_min, x_max, y_min, y_max)):
+            if type(value) is not float and type(value) is not int:  # bool is not a number here
+                raise ValidationError(f"{name} must be a number, got {value!r}")
         if not (x_min < x_max and y_min < y_max):
             raise ValidationError(
                 "region requires x_min < x_max and y_min < y_max, got "
@@ -41,7 +44,7 @@ class WindowConfig(CheckedTuple, namedtuple("WindowConfig", "length horizon")):
             raise ValidationError(f"horizon must be >= 1, got {horizon}")
         if not horizon < FLOAT_END:  # it is added to float frame times
             raise ValidationError("horizon is beyond the float range")
-        if length is not None and not isinstance(length, int):  # it slices the series
+        if length is not None and type(length) is not int:  # it slices the series; bool included
             raise ValidationError(f"window length must be an integer, got {length!r}")
         if length is not None and length < 2:
             raise ValidationError(f"window length must be >= 2, got {length}")
@@ -59,7 +62,9 @@ def window(series: AxisSeries, config: WindowConfig, cutoff_t: float) -> AxisSer
     is safe because a series never changes, and bounded because only the
     last window is kept. Every kind that ``compare`` scores therefore gets
     one window per axis, and with it the exponential-family line that
-    ``fit_model`` keeps on the window.
+    ``fit_model`` keeps on the window. A slice of whole-frame t is whole
+    too, so the window keeps the series' ``_whole`` mark, with which a line
+    fit on a gap-free window takes its t half by translation.
     """
     key = (config.length, cutoff_t)
     kept = series._window
@@ -71,7 +76,8 @@ def window(series: AxisSeries, config: WindowConfig, cutoff_t: float) -> AxisSer
     # cutoff, which bisection alone would read as past every sample.
     end = bisect_right(ts, cutoff_t) if cutoff_t == cutoff_t else 0
     start = 0 if config.length is None else max(0, end - config.length)
-    windowed = AxisSeries._from_columns(series._axis, ts[start:end], series._vs[start:end])
+    windowed = AxisSeries._from_columns(series._axis, ts[start:end], series._vs[start:end],
+                                        series._whole)
     series._window = (key, windowed)
     return windowed
 

@@ -572,6 +572,11 @@ class TestValueTypes:
         ("a_x", "1", "a_x must be a number, got '1'"),
         ("shake_prob", None, "shake_prob must be a number, got None"),
         ("noise_sigma", True, "noise_sigma must be a number, got True"),
+        # Named before the order test, not escaping as a TypeError from it or from gate.
+        ("x_min", "0", "x_min must be a number, got '0'"),
+        ("y_max", None, "y_max must be a number, got None"),
+        ("x_max", True, "x_max must be a number, got True"),
+        ("length", True, "window length must be an integer, got True"),
     ], ids=["kind_family", "kind_degree", "region", "window_horizon", "window_horizon_huge",
             "window_horizon_nan", "window_horizon_inf", "window_horizon_str",
             "window_horizon_none", "window_horizon_bool", "window_length", "window_length_float",
@@ -579,7 +584,8 @@ class TestValueTypes:
             "spec_seed_64_bits", "spec_a_x_nan", "spec_b_y_inf", "spec_noise_inf",
             "spec_shake_scale_nan", "spec_frames_float", "spec_seed_float", "spec_seed_bool",
             "spec_variant_str", "spec_variant_none", "spec_a_x_str", "spec_shake_prob_none",
-            "spec_noise_bool"])
+            "spec_noise_bool", "region_x_min_str", "region_y_max_none", "region_x_max_bool",
+            "window_length_bool"])
     def test_replace_checks_like_the_constructor(self, field, bad, message):
         value = next(v for v in CHECKED_VALUES if field in v._fields)
         with pytest.raises(ValidationError) as by_replace:
@@ -624,6 +630,27 @@ class TestAxisSeriesContract:
             assert type(copied) is AxisSeries and copied == series
             assert copied._window is None  # a memo is not copied
 
+
+    def test_hash_repr_copy_and_pickle_build_no_pairs(self):
+        # The whole-frame mark is seen by none of them: a marked series and an
+        # unmarked one of the same pairs are equal and hash and print alike.
+        pairs = ((0.0, 0.5), (1.0, 1.5), (2.0, 2.5))
+        marked, _ = build_series([(t, v, 0.0) for t, v in pairs])
+        unmarked = AxisSeries(Axis.X, pairs)
+        assert marked._whole and not unmarked._whole
+        for series in (marked, unmarked):
+            copies = (copy.copy(series), copy.deepcopy(series),
+                      pickle.loads(pickle.dumps(series)))
+            assert hash(series) == hash((Axis.X, pairs)) and series._samples is None
+            assert repr(series) == ("AxisSeries(axis=<Axis.X: 'x'>, samples=((0.0, 0.5), "
+                                    "(1.0, 1.5), (2.0, 2.5)))") and series._samples is None
+            for copied in copies:
+                assert copied._samples is None and copied._whole == series._whole
+                assert copied == marked == unmarked and hash(copied) == hash(marked)
+            assert series._samples is None
+        assert repr(AxisSeries(Axis.Y, pairs[:1])) == \
+            "AxisSeries(axis=<Axis.Y: 'y'>, samples=((0.0, 0.5),))"
+        assert repr(AxisSeries(Axis.Y, ())) == "AxisSeries(axis=<Axis.Y: 'y'>, samples=())"
 
     def test_x_and_y_share_one_t_column(self):
         xs, ys = build_series([(float(t), t + 1.0, t + 2.0) for t in range(5)])

@@ -26,11 +26,13 @@ from trackcast import (
     ValidationError,
     WindowConfig,
     batch_compare,
+    build_series,
     compare,
     fit_linear,
     fit_model,
     polynomial,
     predict,
+    predict_endpoint,
     regression,
     residual_rmse,
     synthesize,
@@ -582,9 +584,9 @@ class TestSharedLogLine:
         calls = []
         line = regression._line
 
-        def counted(ts, vs):
+        def counted(ts, vs, whole):
             calls.append(len(vs))
-            return line(ts, vs)
+            return line(ts, vs, whole)
 
         monkeypatch.setattr(regression, "_line", counted)
         return calls
@@ -600,8 +602,10 @@ class TestSharedLogLine:
         assert len(calls) == 12 + 2
 
     def test_t_half_once_per_column(self, monkeypatch):
-        # x then y of one window share the t half, for the log-line and the
-        # linear fit alike; a window of other frames computes its own.
+        # Whole-frame windows of one length share the t half of 0 .. n-1, x
+        # then y, for the log-line and the linear fit alike, at every cutoff;
+        # a window of another length computes its own. A line through pairs,
+        # which may come in any order, computes its own column's half.
         calls = []
         center = regression._center
 
@@ -611,19 +615,23 @@ class TestSharedLogLine:
 
         monkeypatch.setattr(regression, "_center", counted)
         monkeypatch.setattr(regression, "_factored", ((), {}))
+        monkeypatch.setattr(regression, "_template", (0, 0.0, (), 0.0))
         xs, ys = synthesize(SyntheticSpec(a_x=0.01, b_x=2.0, a_y=0.02, b_y=3.0, n_frames=40))
         config = WindowConfig(length=10)
         for kind in (SIN_EXPONENTIAL, LINEAR):
             for s in (xs, ys):
                 fit_model(window(s, config, 20.0), kind)
-        assert calls == [tuple(map(float, range(11, 21)))]
+        assert calls == [tuple(map(float, range(10)))]
         for s in (xs, ys):
             fit_model(window(s, config, 25.0), EXPONENTIAL)
-        assert calls[1:] == [tuple(map(float, range(16, 26)))]
-        # A line through pairs takes the same path and the same memo.
+        assert len(calls) == 1
+        # A line through pairs takes the memo of its column, and the same bits.
         assert fit_linear(list(zip(range(16, 26), ys._vs[16:26]))) == \
             fit_model(window(ys, config, 25.0), LINEAR)[1:3]
-        assert len(calls) == 2
+        assert calls[1:] == [tuple(range(16, 26))]
+        for s in (xs, ys):
+            fit_model(window(s, WindowConfig(length=12), 30.0), EXPONENTIAL)
+        assert calls[2:] == [tuple(map(float, range(12)))]
 
     def test_domain_error_names_each_kind(self):
         s = series([(t, 0.0 if t == 4 else t + 1.0) for t in range(8)])
@@ -636,6 +644,180 @@ class TestSharedLogLine:
             assert clamped == fit_model(series(s.samples), kind, clamp_nonpositive=True)
         with pytest.raises(DomainError):
             fit_model(s, EXPONENTIAL)
+
+
+def count_centers(monkeypatch):
+    """The t columns ``_center`` is called on from here on, both memos emptied."""
+    calls = []
+    center = regression._center
+
+    def counted(ts):
+        calls.append(ts)
+        return center(ts)
+
+    monkeypatch.setattr(regression, "_center", counted)
+    monkeypatch.setattr(regression, "_factored", ((), {}))
+    monkeypatch.setattr(regression, "_template", (0, 0.0, (), 0.0))
+    return calls
+
+
+def line_hex(call):
+    return tuple(map(float.hex, call()))
+
+
+def whole_stream(frames, rng):
+    """X and Y series by ``build_series`` at the whole ``frames``, positive values."""
+    return build_series([(float(t), rng.uniform(50.0, 600.0), rng.uniform(50.0, 400.0))
+                         for t in frames])
+
+
+class TestWholeFrameTemplate:
+    """A line on a gap-free window of whole-frame t takes the t half of
+    0 .. n-1 moved by its first t, with the bits ``_center`` gives its own
+    column; any other column keeps the ``_t_only`` memo."""
+
+    def test_bit_identical_to_center(self, monkeypatch):
+        # Offsets up to the guard n * max(|first|, |last|) < 2**53, where every
+        # partial t sum is an exact integer, and one step past it on either side,
+        # where the path is not taken.
+        center = regression._center
+        calls = count_centers(monkeypatch)
+        rng = random.Random(2201)
+        for n in (2, 3, 31, 32, 999, 1000, *(rng.randint(2, 1000) for _ in range(200))):
+            bound = (2**53 - 1) // n  # the largest |t| the guard admits
+            firsts = (0, -(n // 2), rng.randint(-bound, bound - n + 1), rng.randint(-99, 99),
+                      bound - n + 1, -bound, bound - n + 2, -bound - 1)
+            vs = [rng.uniform(-1e3, 1e3) for _ in range(n)]
+            for first in firsts:
+                ts = tuple(map(float, range(first, first + n)))
+                regression._factored = ((), {})  # so that only the path misses it
+                del calls[:]
+                fast = line_hex(lambda: regression._line(ts, vs, True))
+                taken = all(c is not ts for c in calls)
+                assert taken == (n * max(-first, first + n - 1) < 2**53), (n, first)
+                assert fast == line_hex(lambda: regression._line(ts, vs, False)), (n, first)
+                if taken:
+                    size, t_mean, ds, s_tt = regression._template
+                    expected_mean, expected_ds, expected_s_tt = center(ts)
+                    assert size == n
+                    assert (t_mean + ts[0]).hex() == expected_mean.hex()
+                    assert list(map(float.hex, ds)) == list(map(float.hex, expected_ds))
+                    assert s_tt.hex() == expected_s_tt.hex()
+
+    def test_windows_of_a_parent_with_a_gap(self, monkeypatch):
+        # Frames 20-29 are missing. A window before the gap, one ending on
+        # it, one across it and one after it fit the bits of an unmarked copy;
+        # only the window across it computes its own t half.
+        calls = count_centers(monkeypatch)
+        xs, ys = whole_stream([*range(20), *range(30, 60)], random.Random(5))
+        assert xs._whole and ys._whole
+        copies = [AxisSeries(s.axis, s.samples) for s in (xs, ys)]
+        config = WindowConfig(length=8)
+        for cutoff, gapped in ((15.0, False), (25.0, False), (33.0, True), (45.0, False)):
+            for s, copy in zip((xs, ys), copies):
+                marked = window(s, config, cutoff)
+                assert marked._whole and not window(copy, config, cutoff)._whole
+                for kind in (LINEAR, SIN_EXPONENTIAL):
+                    regression._factored = ((), {})
+                    del calls[:]
+                    got = fit_model(marked, kind)
+                    assert any(c is marked._ts for c in calls) == gapped
+                    assert got == fit_model(window(copy, config, cutoff), kind)
+
+    def test_columns_that_never_take_the_path(self, monkeypatch):
+        calls = count_centers(monkeypatch)
+        vs = (1.0, 5.0, 2.0, 7.0)
+        # Not all whole, though the ends lie n - 1 apart: build_series leaves it unmarked.
+        xs, _ = build_series([(0.0, 1.0, 1.0), (0.5, 2.0, 2.0), (2.0, 4.0, 3.0)])
+        assert not xs._whole
+        # An int t is not a float holding a whole number.
+        ints, _ = build_series([(t, v, v) for t, v in enumerate(vs)])
+        assert not ints._whole
+        # The public constructor runs no whole-number test.
+        public = AxisSeries(Axis.X, tuple(zip(map(float, range(4)), vs)))
+        assert not public._whole
+        for s in (xs, ints, public):
+            regression._factored = ((), {})
+            del calls[:]
+            fit_model(s, EXPONENTIAL)
+            assert calls == [s._ts]
+        # Pairs may come in any order, so the span test alone would give slope 1.5.
+        del calls[:]
+        assert fit_linear(list(zip((0.0, 2.0, 1.0, 3.0), vs))).slope == 2.1
+        assert calls == [(0.0, 2.0, 1.0, 3.0)]
+        assert regression._template == (0, 0.0, (), 0.0)
+
+    def test_rolling_replay_takes_one_half_per_window_length(self, monkeypatch):
+        # A live tracker's replay at 250 cutoffs of a stream with gaps early in
+        # its history: one _center call for all 500 line fits, and the bits of
+        # the same replay on unmarked copies.
+        rng = random.Random(22)
+        frames = [t for t in range(1500) if t > 400 or t % 7]
+        xs, ys = whole_stream(frames, rng)
+        copies = [AxisSeries(s.axis, s.samples) for s in (xs, ys)]
+        config = WindowConfig(length=32, horizon=60)
+        cutoffs = [float(t) for t in frames[-250:]]
+        expected = [predict_endpoint(*copies, SIN_EXPONENTIAL, config, c) for c in cutoffs]
+        calls = count_centers(monkeypatch)
+        assert [predict_endpoint(xs, ys, SIN_EXPONENTIAL, config, c)
+                for c in cutoffs] == expected
+        assert calls == [tuple(map(float, range(32)))]
+
+    def test_growing_windows_keep_one_template(self, monkeypatch):
+        calls = count_centers(monkeypatch)
+        xs, _ = whole_stream(range(40), random.Random(8))
+        config = WindowConfig()  # the whole history: each cutoff a new length
+        for cutoff in range(1, 40):
+            fit_model(window(xs, config, float(cutoff)), LINEAR)
+            assert regression._template[0] == cutoff + 1
+        assert calls == [tuple(map(float, range(n))) for n in range(2, 41)]
+        fit_model(window(xs, config, 9.0), LINEAR)  # length 10 again is computed again
+        assert calls[-1] == tuple(map(float, range(10))) and len(calls) == 40
+
+    def test_threads_sharing_the_template_get_the_reference_bits(self, monkeypatch):
+        # More threads than cores switching every microsecond over windows of
+        # three lengths, so the template is replaced under the others; each
+        # template step ends by yielding the interpreter lock. A thread that
+        # paired one length with another's half would get other bits.
+        rng = random.Random(78)
+        xs, _ = whole_stream(range(200), rng)
+        copy = AxisSeries(xs.axis, xs.samples)
+        cases = []
+        for length in (9, 17, 32):
+            config = WindowConfig(length=length)
+            for cutoff in (60.0, 120.0, 199.0):
+                cases.append((window(xs, config, cutoff)._ts, window(xs, config, cutoff)._vs,
+                              line_hex(lambda: fit_linear(window(copy, config, cutoff)))))
+        center = regression._center
+
+        def yielding(ts):
+            half = center(ts)
+            time.sleep(0)
+            return half
+
+        monkeypatch.setattr(regression, "_center", yielding)
+        monkeypatch.setattr(regression, "_template", (0, 0.0, (), 0.0))
+        wrong = []
+
+        def work(seed):
+            order = random.Random(seed)
+            for _ in range(300):
+                ts, vs, expected = order.choice(cases)
+                if line_hex(lambda: regression._line(ts, vs, True)) != expected:
+                    wrong.append(len(ts))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
 
 NON_FINITE_VALUES = {"nan": (math.nan, "a number"), "inf": (math.inf, "finite"),

@@ -148,6 +148,10 @@ class TestGate:
         with pytest.raises(ValidationError):
             Region(5, 5, 0, 10)
 
+    def test_bound_that_is_not_a_number_named_before_the_order(self):
+        with pytest.raises(ValidationError, match=r"^y_max must be a number, got '1'$"):
+            Region(5.0, 1.0, 0.0, "1")
+
 
 class TestPredictEndpoint:
     def test_constant_series_collapse(self):
