@@ -227,26 +227,35 @@ def cmd_plot(args) -> int:
     return 0
 
 
+# Help and usage text wrap at 78 columns, what argparse gives an 80-column
+# terminal, whatever the terminal or COLUMNS says. With no width given, each
+# formatter imports shutil (and with it bz2, lzma and fnmatch) to read it.
+_FORMATTER = functools.partial(argparse.HelpFormatter, width=78)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """A new parser for the trackcast command line on every call."""
     parser = argparse.ArgumentParser(
         prog="trackcast",
         description="Fit tracked-endpoint trajectories and predict positions "
                     "a configurable number of frames ahead.",
+        formatter_class=_FORMATTER,
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    # A subparser takes no formatter from its parent, so each is given it.
+    add_parser = functools.partial(subs.add_parser, formatter_class=_FORMATTER)
 
-    sim = subs.add_parser("simulate", help="generate a synthetic detection stream")
+    sim = add_parser("simulate", help="generate a synthetic detection stream")
     sim.add_argument("--spec", required=True, help="synthetic trajectory spec file")
     sim.add_argument("--seed", type=int, default=None, help="override the spec's seed")
     sim.add_argument("--out", default="-", help="output path, '-' for stdout")
 
-    fit = subs.add_parser("fit", help="fit one axis and print the parameters")
+    fit = add_parser("fit", help="fit one axis and print the parameters")
     _add_stream_options(fit)
     _add_fit_options(fit)
     fit.add_argument("--axis", choices=["x", "y"], required=True)
 
-    pred = subs.add_parser("predict", help="predict the endpoint position ahead")
+    pred = add_parser("predict", help="predict the endpoint position ahead")
     _add_stream_options(pred)
     _add_fit_options(pred)
     pred.add_argument("--horizon", type=int, default=DEFAULT_HORIZON,
@@ -254,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     pred.add_argument("--region", type=_region_arg, default=None,
                       help="defect gate rectangle x0,y0,x1,y1")
 
-    comp = subs.add_parser("compare", help="score several models against ground truth")
+    comp = add_parser("compare", help="score several models against ground truth")
     _add_stream_options(comp)
     _add_fit_options(comp)
     comp.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
@@ -264,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="output rendering")
     comp.add_argument("--out", default="-", help="output path, '-' for stdout")
 
-    plot = subs.add_parser("plot", help="emit a two-panel SVG of fit and prediction")
+    plot = add_parser("plot", help="emit a two-panel SVG of fit and prediction")
     _add_stream_options(plot)
     _add_fit_options(plot)
     plot.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)

@@ -96,12 +96,18 @@ class AxisSeries:
     ``evaluation`` sets it on the frames it generates, ``trajectory.window``
     keeps it on its slices, and the public constructor leaves it False.
     ``regression`` reads it to take a gap-free window's t half by
-    translation. Equality, hashing and ``repr`` see only ``axis`` and
-    ``samples``, which are read-only properties, and read them from the
-    columns, so none of them builds and keeps the pairs.
+    translation. ``_logs`` holds the logs of the first k values, for some k
+    from 0 (the empty tuple, the default) to the series' length:
+    ``trajectory.window`` gives a window those of the samples it shares with
+    the window kept before it, and ``regression`` logs only the values past
+    them, then stores the whole column when no value is zero or negative.
+    Equality, hashing and ``repr`` see only ``axis`` and ``samples``, which
+    are read-only properties, and read them from the columns, so none of
+    them builds and keeps the pairs; none of them, nor a copy, sees
+    ``_logs``.
     """
 
-    __slots__ = ("_axis", "_ts", "_vs", "_whole", "_samples", "_window", "_log_line",
+    __slots__ = ("_axis", "_ts", "_vs", "_whole", "_logs", "_samples", "_window", "_log_line",
                  "_log_line_clamped")
 
     axis = property(attrgetter("_axis"))
@@ -121,6 +127,7 @@ class AxisSeries:
         checked."""
         series = object.__new__(cls)
         series._axis, series._ts, series._vs, series._whole = axis, ts, vs, whole
+        series._logs = ()
         series._samples = series._window = series._log_line = series._log_line_clamped = None
         return series
 

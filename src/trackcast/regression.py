@@ -9,6 +9,10 @@ That line builds no (t, ln v) pairs: the values are checked or clamped
 and their logs taken, and ``_line``, which ``fit_linear`` shares, sums them
 and their products with the t deviations. Squares are products, which
 IEEE 754 rounds correctly, not pow(), whose rounding depends on the C library.
+A series' ``_logs`` slot holds the logs of its first k values; a window
+takes those of the samples it shares with the window before it, so a
+rolling replay logs one new value per axis and cutoff. math.log is a pure
+function of its argument, so the bits are those of logging every value.
 The polynomial kind is the non-linear comparison baseline, fitted through
 polynomials orthogonal on the window's t. Their recurrence, their mapping
 back to raw-t powers and the conditioning guard's verdict depend on t alone,
@@ -276,14 +280,20 @@ def _log_line(series: AxisSeries, kind: ModelKind, clamp_nonpositive: bool) -> L
     """The least-squares line on (t, ln v), kept on the series per clamp value.
 
     The values are checked or clamped and their logs taken; ``_line`` then
-    sums them and takes the t half from the memo.
+    sums them and takes the t half from the memo. The series' ``_logs``
+    hold the logs of its first k values, which a window takes from the one
+    before it, so only the values past them are logged. When no value is
+    zero or negative the whole column is stored there for the next window;
+    one that is sends the fit down the refusing or clamping path, which logs
+    every value again and stores nothing.
     """
     line = series._log_line_clamped if clamp_nonpositive else series._log_line
     if line is not None:
         return line
     vs = series._vs
+    head = series._logs  # one read of an immutable tuple, so threads agree
     try:
-        logs = list(map(math.log, vs))
+        logs = series._logs = head + tuple(map(math.log, vs[len(head):]))
     except ValueError:  # a value <= 0, which is refused or clamped
         logs = []
         for i, v in enumerate(vs):

@@ -65,9 +65,16 @@ def window(series: AxisSeries, config: WindowConfig, cutoff_t: float) -> AxisSer
     ``fit_model`` keeps on the window. A slice of whole-frame t is whole
     too, so the window keeps the series' ``_whole`` mark, with which a line
     fit on a gap-free window takes its t half by translation.
+
+    The kept window's start index is kept beside it. Its ``_logs`` hold the
+    logs of its first k values, so a new window that starts within those k
+    samples and ends at or past the last of them shares a tail of them; the
+    new window takes that tail as its own ``_logs``, and its line logs only
+    its other values. A rolling replay's next cutoff thus takes one log per
+    axis, not one per sample.
     """
     key = (config.length, cutoff_t)
-    kept = series._window
+    kept = series._window  # one read, so the key, window and start agree
     if kept is not None and kept[0] == key:
         return kept[1]
     ts = series._ts
@@ -78,7 +85,11 @@ def window(series: AxisSeries, config: WindowConfig, cutoff_t: float) -> AxisSer
     start = 0 if config.length is None else max(0, end - config.length)
     windowed = AxisSeries._from_columns(series._axis, ts[start:end], series._vs[start:end],
                                         series._whole)
-    series._window = (key, windowed)
+    if kept is not None:
+        logs, kept_start = kept[1]._logs, kept[2]
+        if kept_start <= start < kept_start + len(logs) <= end:
+            windowed._logs = logs[start - kept_start:]
+    series._window = (key, windowed, start)
     return windowed
 
 

@@ -642,14 +642,34 @@ def test_start_up_imports_no_thread_pool():
     # than the rest of the package, and the thread pool is opt-in. csv and
     # random are imported by the functions that read or write CSV and that
     # generate a trajectory, which most calls never reach.
+    # Building the parser, printing its help and refusing a usage loads no
+    # shutil (nor the bz2, lzma and fnmatch it imports): every formatter is
+    # given its width instead of reading the terminal's.
     src = Path(trackcast.__file__).resolve().parent.parent
-    heavy = ["dataclasses", "typing", "inspect", "concurrent.futures", "csv", "random"]
-    for module in ("trackcast", "trackcast.cli"):
+    heavy = ["dataclasses", "typing", "inspect", "concurrent.futures", "csv", "random",
+             "shutil", "bz2", "lzma", "fnmatch"]
+    parse = ("import trackcast.cli as c, contextlib, io; p = c._parser(); p.format_help()\n"
+             "with contextlib.redirect_stderr(io.StringIO()), "
+             "contextlib.suppress(SystemExit): p.parse_args(['fit', '--axis', 'z'])")
+    for code in ("import trackcast", "import trackcast.cli", parse):
         result = subprocess.run(
             [sys.executable, "-S", "-c",
-             f"import {module}, sys; print([m for m in {heavy!r} if m in sys.modules])"],
+             f"{code}\nimport sys; print([m for m in {heavy!r} if m in sys.modules])"],
             env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
-        assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", ""), module
+        assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", ""), code
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["compare", "--help"], ["fit", "--axis", "z"]],
+                         ids=["help", "compare_help", "usage_error"])
+def test_help_wraps_at_78_columns_whatever_columns_says(run_cli, monkeypatch, argv):
+    monkeypatch.delenv("COLUMNS", raising=False)
+    default = run_cli(*argv)
+    assert default[0] in (0, 2) and (default[1] or default[2])
+    wrapped = [line for line in (default[1] + default[2]).splitlines() if ": error: " not in line]
+    assert max(map(len, wrapped)) <= 78
+    for columns in ("200", "40", "80"):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert run_cli(*argv) == default, columns
 
 
 def test_commands_build_no_pairs(growth_spec, tmp_path, capsys, monkeypatch):

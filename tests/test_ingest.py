@@ -616,7 +616,9 @@ class TestAxisSeriesContract:
         assert repr(series) == "AxisSeries(axis=<Axis.X: 'x'>, samples=((0.0, 1.0), (1.0, 2.5)))"
         assert hash(series) == hash((Axis.X, self.SAMPLES))
         fit_model(window(series, WindowConfig(), 5.0), EXPONENTIAL)  # fills the memos
+        fit_model(series, EXPONENTIAL)  # and the logs of the values
         twin = AxisSeries._from_columns(Axis.X, (0.0, 1.0), (1.0, 2.5))
+        assert series._logs == (0.0, math.log(2.5)) and twin._logs == ()
         assert series == twin and hash(series) == hash(twin) and repr(series) == repr(twin)
         assert series != AxisSeries(Axis.Y, self.SAMPLES)
         assert series != AxisSeries(Axis.X, self.SAMPLES[:1])
@@ -625,10 +627,13 @@ class TestAxisSeriesContract:
     def test_copies_and_pickles(self):
         series = AxisSeries(Axis.X, self.SAMPLES)
         window(series, WindowConfig(), 5.0)
+        fit_model(series, EXPONENTIAL)
+        assert series._logs == (0.0, math.log(2.5))
         for copied in (copy.copy(series), copy.deepcopy(series),
                        pickle.loads(pickle.dumps(series))):
             assert type(copied) is AxisSeries and copied == series
-            assert copied._window is None  # a memo is not copied
+            # A memo is not copied, and a copy's head of logs starts empty.
+            assert copied._window is None and copied._log_line is None and copied._logs == ()
 
 
     def test_hash_repr_copy_and_pickle_build_no_pairs(self):

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import struct
 import sys
@@ -805,6 +806,215 @@ class TestWholeFrameTemplate:
                 ts, vs, expected = order.choice(cases)
                 if line_hex(lambda: regression._line(ts, vs, True)) != expected:
                     wrong.append(len(ts))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+
+def log_stream(frames, rng, bad=None):
+    """X and Y series by ``build_series`` at the whole ``frames``, positive
+    values but for ``bad``, a map from a frame to the X value it holds."""
+    bad = bad or {}
+    return build_series([(float(t), bad.get(t, rng.uniform(50.0, 600.0)),
+                          rng.uniform(50.0, 400.0)) for t in frames])
+
+
+def replay_steps(rng, count, last):
+    """(length, cutoff) pairs of a random replay: forward by 1 most often,
+    forward by several frames, back, or to another length (None, the whole
+    history, included), with cutoffs from before the first frame to past the last."""
+    length, cutoff = 16, 20
+    for _ in range(count):
+        r = rng.random()
+        if r < 0.5:
+            cutoff += 1
+        elif r < 0.7:
+            cutoff += rng.randint(2, 40)
+        elif r < 0.85:
+            cutoff -= rng.randint(1, 40)
+        else:
+            length = rng.choice((None, 2, 3, 8, 16, 31, 64))
+        cutoff = min(max(cutoff, -3), last + 3)
+        yield length, float(cutoff)
+
+
+def fit_outcome(s, kind, clamp, t_target):
+    """The fit's and its prediction's bits, or the text of what it raised."""
+    try:
+        fit = fit_model(s, kind, clamp)
+    except (DomainError, InsufficientDataError, FitOverflowError) as exc:
+        return type(exc).__name__, str(exc)
+    try:
+        value = predict(fit, t_target).hex()
+    except PredictionRangeError as exc:
+        value = str(exc)
+    return fit.a.hex(), fit.b.hex(), fit.n_points, value
+
+
+def counting_logs(monkeypatch):
+    """The number of ``math.log`` calls from here on, one list entry each."""
+    calls = []
+    log = math.log
+
+    def counted(v):
+        calls.append(v)
+        return log(v)
+
+    monkeypatch.setattr(math, "log", counted)
+    return calls
+
+
+class TestRollingLogHeads:
+    """A window that begins inside the window kept before it takes the logs
+    of the samples the two share, and its line logs only its other values,
+    with the bits a fresh window gives."""
+
+    def test_random_replays_match_fresh_windows(self):
+        # A zero, a negative value and a NaN enter and leave the X windows;
+        # each step fits the kept parent's window and the same window of a
+        # pickle copy, which has no kept window and so no head.
+        rng = random.Random(2301)
+        bad = {90: 0.0, 150: -2.5, 210: math.nan, 211: math.nan, 300: 0.0}
+        parents = log_stream(range(400), rng, bad)
+        taken = 0
+        for length, cutoff in replay_steps(rng, 700, 399):
+            config = WindowConfig(length=length, horizon=7)
+            clamp = rng.random() < 0.5
+            for parent in parents:
+                fresh = window(pickle.loads(pickle.dumps(parent)), config, cutoff)
+                assert fresh._logs == ()
+                windowed = window(parent, config, cutoff)
+                head = windowed._logs
+                taken += bool(head)
+                assert len(head) <= len(windowed._vs)
+                for kind in EXP_FAMILY:
+                    assert fit_outcome(windowed, kind, clamp, cutoff + 7) == \
+                        fit_outcome(fresh, kind, clamp, cutoff + 7), (length, cutoff, kind)
+                logs = windowed._logs
+                assert len(logs) <= len(windowed._vs)
+                assert list(map(float.hex, logs)) == \
+                    [math.log(v).hex() for v in windowed._vs[:len(logs)]]
+        assert taken > 700  # most steps of both axes took a head
+
+    def test_domain_error_text_of_a_head(self):
+        # The zero enters a window whose head was taken from the window
+        # before: the refusal names the same sample as on a fresh window.
+        xs, _ = log_stream(range(60), random.Random(4), {40: 0.0})
+        config = WindowConfig(length=10)
+        fit_model(window(xs, config, 39.0), EXPONENTIAL)
+        windowed = window(xs, config, 40.0)
+        assert len(windowed._logs) == 9
+        fresh = window(pickle.loads(pickle.dumps(xs)), config, 40.0)
+        for kind in EXP_FAMILY:
+            with pytest.raises(DomainError) as got:
+                fit_model(windowed, kind)
+            with pytest.raises(DomainError) as expected:
+                fit_model(fresh, kind)
+            assert str(got.value) == str(expected.value) == \
+                f"non-positive value 0.0 at t=40.0 (sample 9) under {kind.label} fit"
+        assert len(windowed._logs) == 9 and fresh._logs == ()  # a refusal stores no column
+
+    def test_one_log_per_step(self, monkeypatch):
+        calls = counting_logs(monkeypatch)
+        xs, _ = log_stream(range(200), random.Random(6))
+        config = WindowConfig(length=32)
+
+        def logs_taken(cutoff, kind=SIN_EXPONENTIAL, length=32):
+            del calls[:]
+            fit_model(window(xs, WindowConfig(length=length), cutoff), kind)
+            return len(calls)
+
+        assert logs_taken(100.0) == 32  # the first window logs every value
+        assert [logs_taken(c) for c in (101.0, 102.0, 103.0)] == [1, 1, 1]
+        assert logs_taken(103.0, EXPONENTIAL) == 0  # the same window keeps its line
+        assert logs_taken(108.0) == 5  # forward by 5: the 27 shared logs are taken
+        assert logs_taken(107.0) == 32  # a backward jump starts before the head
+        assert logs_taken(200.0) == 32  # a window far ahead shares nothing
+        assert logs_taken(199.0, length=40) == 40  # a longer window starts before it
+        assert logs_taken(195.0, length=8) == 8  # one that ends before its logs' end
+        assert logs_taken(199.0, length=40) == 40
+        assert logs_taken(199.0, length=8) == 0  # one that ends with them takes their tail
+        assert logs_taken(199.0, length=None) == 200
+        assert logs_taken(199.5, length=None) == 0  # the same samples, a new key
+        assert [logs_taken(c, kind) for c in (150.0, 151.0)
+                for kind in (LINEAR, polynomial(2), polynomial(5))] == [0] * 6
+        assert logs_taken(151.0) == 32  # the linear and polynomial windows logged nothing
+        assert logs_taken(152.0) == 1
+
+    def test_nonpositive_values_store_no_column(self, monkeypatch):
+        # A window that refuses or clamps a value logs all of them and stores
+        # none, so the next window takes only the head it was given.
+        xs, _ = log_stream(range(80), random.Random(9), {50: -1.0})
+        config = WindowConfig(length=10)
+        fit_model(window(xs, config, 49.0), EXPONENTIAL)
+        calls = counting_logs(monkeypatch)
+        clamped = window(xs, config, 50.0)
+        fit_model(clamped, EXPONENTIAL, clamp_nonpositive=True)
+        # The new value raises, then the clamping path logs all ten.
+        assert len(calls) == 1 + 10 and len(clamped._logs) == 9
+        del calls[:]
+        later = window(xs, config, 51.0)
+        assert len(later._logs) == 8
+        fit_model(later, EXPONENTIAL, clamp_nonpositive=True)
+        assert len(calls) == 1 + 10 and len(later._logs) == 8
+        del calls[:]
+        past = window(xs, config, 61.0)  # the -1.0 has left; the head is too far back
+        fit_model(past, EXPONENTIAL)
+        assert len(calls) == 10 and len(past._logs) == 10
+
+    def test_the_parent_keeps_one_window(self):
+        xs, _ = log_stream(range(120), random.Random(3))
+        config = WindowConfig(length=32)
+        for cutoff in range(50, 120):
+            windowed = window(xs, config, float(cutoff))
+            fit_model(windowed, SIN_EXPONENTIAL)
+            assert xs._window == ((32, float(cutoff)), windowed, cutoff - 31)
+            assert len(windowed._logs) == 32
+            assert xs._logs == ()  # the parent itself is never fitted here
+
+    def test_threads_replaying_one_parent_get_the_reference_bits(self, monkeypatch):
+        # More threads than cores, switching every microsecond and yielding
+        # the interpreter lock at each log, replay one parent: each takes heads
+        # from windows the others kept. A head paired with another window's
+        # samples would give other bits.
+        rng = random.Random(2302)
+        xs, ys = log_stream(range(300), rng, {120: 0.0})
+        steps = [(length, cutoff, rng.random() < 0.5)
+                 for length, cutoff in replay_steps(rng, 120, 299)]
+        expected = {}
+        for s in (xs, ys):
+            for length, cutoff, clamp in steps:
+                fresh = window(pickle.loads(pickle.dumps(s)), WindowConfig(length=length), cutoff)
+                expected[s.axis, length, cutoff, clamp] = \
+                    fit_outcome(fresh, SIN_EXPONENTIAL, clamp, cutoff + 60)
+        log = math.log
+
+        def yielding(v):
+            time.sleep(0)
+            return log(v)
+
+        monkeypatch.setattr(math, "log", yielding)
+        wrong = []
+
+        def work(seed):
+            order = random.Random(seed)
+            start = order.randrange(len(steps))
+            for length, cutoff, clamp in steps[start:] + steps[:start]:
+                s = order.choice((xs, ys))
+                got = fit_outcome(window(s, WindowConfig(length=length), cutoff),
+                                  SIN_EXPONENTIAL, clamp, cutoff + 60)
+                if got != expected[s.axis, length, cutoff, clamp]:
+                    wrong.append((s.axis, length, cutoff))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
