@@ -300,10 +300,7 @@ def main(argv: list[str] | None = None) -> int:
     command = globals()[f"cmd_{args.command}"]
     try:
         return command(args)
-    except TrackcastError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (TrackcastError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,7 +23,7 @@ takes two words, ``getrandbits(n)`` ceil(n / 32)), which a test pins.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from enum import Enum
@@ -37,7 +37,7 @@ from .errors import (
     UndefinedReferenceError,
     ValidationError,
 )
-from .ingest import FLOAT_END, Axis, AxisSeries, CheckedTuple
+from .ingest import FLOAT_END, MAX_FRAME, Axis, AxisSeries, CheckedTuple
 from .numfmt import fixed6
 from .regression import (
     COS_EXPONENTIAL,
@@ -46,7 +46,7 @@ from .regression import (
     ModelKind,
     polynomial,
 )
-from .trajectory import WindowConfig, predict_endpoint
+from .trajectory import WindowConfig, _span, predict_endpoint
 
 # Row order of the default four-model comparison.
 DEFAULT_KINDS: tuple[ModelKind, ...] = (
@@ -94,6 +94,8 @@ class SyntheticSpec(CheckedTuple, namedtuple("SyntheticSpec", "a_x b_x a_y b_y v
                     raise ValidationError(f"{name} must be finite, got {value!r}")
         if n_frames < 1:
             raise ValidationError(f"n_frames must be >= 1, got {n_frames}")
+        if n_frames > MAX_FRAME + 1:  # a frame past MAX_FRAME is one no stream may hold
+            raise ValidationError(f"n_frames must be <= {MAX_FRAME + 1}")
         if noise_sigma < 0:
             raise ValidationError(f"noise_sigma must be >= 0, got {noise_sigma}")
         if not 0.0 <= shake_prob <= 1.0:
@@ -326,12 +328,12 @@ def _synthesize_read(spec, ts, kinds, cutoff_t, config) -> tuple[AxisSeries, Axi
     if not kinds or not all(low < a * t + b < 700.0 - s for a, b in
                             ((spec.a_x, spec.b_x), (spec.a_y, spec.b_y)) for t in (0.0, ts[-1])):
         return _synthesize_at(spec, ts)
-    # The tests of ``_value_at``, then of ``window``, in the order ``evaluate`` makes them.
+    # The test of ``_value_at``, then the slice of ``window``, in the order
+    # ``evaluate`` makes them.
     t_target = cutoff_t + config.horizon
     i = bisect_left(ts, t_target)
     if not (i < len(ts) and ts[i] == t_target):  # a NaN cutoff included
         return _synthesize_at(spec, ())  # compare raises MissingTruthError
-    end = bisect_right(ts, cutoff_t)
-    start = 0 if config.length is None else max(0, end - config.length)
+    start, end = _span(ts, config.length, cutoff_t)
     # Below t = 2**53, t_target > cutoff_t, so frame i follows the window.
     return _synthesize_at(spec, ts[start:end] + ts[i:i + 1])

@@ -16,15 +16,16 @@ function of its argument, so the bits are those of logging every value.
 The polynomial kind is the non-linear comparison baseline, fitted through
 polynomials orthogonal on the window's t. Their recurrence, their mapping
 back to raw-t powers and the conditioning guard's verdict depend on t alone,
-as do a line's t mean and deviations, so that work is done once per t column
-(and degree) and kept in a module-level memo of the last column; both axes
-of a window, and every batch spec with the same frames, only take their
-values' sums and dot products. A line on a window of consecutive whole
-frames, which each new cutoff of a rolling replay brings, takes its t half
-from a second memo instead: that of 0 .. n-1 for the last length n, moved
-by the window's first t. The memos are shared by all threads: each fit
-reads a memo in one step, and a concurrent replacement at worst repeats the
-same work.
+so that work is done once per t column and degree and kept in a
+module-level memo of the last column; both axes of a window, and every
+batch spec with the same frames, only take their values' dot products.
+A line's t half (the t mean, the deviations and their sum of squares)
+depends on t alone too. On a window of consecutive whole frames, which each
+cutoff of a rolling replay and every batch spec brings, it comes from a
+memo of that of 0 .. n-1 for the last length n, moved by the window's first
+t; ``_center`` computes any other column's half afresh. The memos are
+shared by all threads: each fit reads a memo in one step, and a concurrent
+replacement at worst repeats the same work.
 """
 
 from __future__ import annotations
@@ -149,9 +150,9 @@ _template: tuple = (0, 0.0, (), 0.0)
 
 def _line(ts: tuple[float, ...], vs: Sequence[float], whole: bool) -> LinearFit:
     """The least-squares line through the columns ``ts`` and ``vs``, with at
-    least two samples. The t half comes from ``_t_only``, which refuses a t
-    column with no slope; a line past the float range is left to
-    ``_rescaled_line``.
+    least two samples. The t half comes from the template below or from
+    ``_center``, which refuses a t column with no slope; a line past the
+    float range is left to ``_rescaled_line``.
 
     ``whole`` says that ``ts`` is strictly increasing and every t a float
     holding a whole number, as an ``AxisSeries`` marks it. Such a column
@@ -177,7 +178,7 @@ def _line(ts: tuple[float, ...], vs: Sequence[float], whole: bool) -> LinearFit:
             _template = (n, t_mean, ds, s_tt)
         t_mean += first
     else:
-        t_mean, ds, s_tt = _t_only(ts, 0)
+        t_mean, ds, s_tt = _center(ts)
     sv = 0.0
     try:
         for v in vs:
@@ -217,14 +218,15 @@ def _require_finite(column: Sequence[float], name: str = "value", error=DomainEr
             raise error(f"{name} {x!r} at sample {i} is not {'a number' if x != x else 'finite'}")
 
 
-def _center(ts: tuple[float, ...]) -> tuple | str:
+def _center(ts: tuple[float, ...]) -> tuple[float, list[float], float]:
     """The t half of a least-squares line: the mean of ``ts``, the deviations
-    from it and the sum of their squares, or the message refusing the column.
-    The equal test stops at the second t of an increasing column; a t that is
-    NaN, infinite or an int past the float range, which raises, is sought only
-    when the t sum is not finite, which any such t makes it."""
+    from it and the sum of their squares. A column with no slope raises
+    ``DegenerateAbscissaError``. The equal test stops at the second t of an
+    increasing column; a t that is NaN, infinite or an int past the float
+    range is sought only when the t sum is not finite, which any such t
+    makes it."""
     if all(map(eq, ts, repeat(ts[0]))):
-        return "all t values are equal; cannot fit a slope"
+        raise DegenerateAbscissaError("all t values are equal; cannot fit a slope")
     st = 0.0
     try:
         for t in ts:
@@ -233,16 +235,14 @@ def _center(ts: tuple[float, ...]) -> tuple | str:
         st = math.inf
     if st - st != 0.0:
         _require_finite(ts, "t value", DegenerateAbscissaError)
-        return "the sum of the t values overflows"
+        raise DegenerateAbscissaError("the sum of the t values overflows")
     t_mean = st / len(ts)
-    ds = []
+    ds = [t - t_mean for t in ts]
     s_tt = 0.0
-    for t in ts:
-        d = t - t_mean
-        ds.append(d)
+    for d in ds:
         s_tt += d * d
     if s_tt == 0.0:
-        return "t values are numerically indistinguishable"
+        raise DegenerateAbscissaError("t values are numerically indistinguishable")
     return t_mean, ds, s_tt
 
 
@@ -280,7 +280,7 @@ def _log_line(series: AxisSeries, kind: ModelKind, clamp_nonpositive: bool) -> L
     """The least-squares line on (t, ln v), kept on the series per clamp value.
 
     The values are checked or clamped and their logs taken; ``_line`` then
-    sums them and takes the t half from the memo. The series' ``_logs``
+    sums them and their products with the t deviations. The series' ``_logs``
     hold the logs of its first k values, which a window takes from the one
     before it, so only the values past them are logged. When no value is
     zero or negative the whole column is stored there for the next window;
@@ -313,15 +313,15 @@ def _log_line(series: AxisSeries, kind: ModelKind, clamp_nonpositive: bool) -> L
     return line
 
 
-# (ts, {degree: what _factor returned, 0: what _center returned}) for the
-# last t column a fit saw; a fit on a different column replaces it.
+# (ts, {degree: what _factor returned}) for the last t column a polynomial
+# fit saw; a fit on a different column replaces it.
 _factored: tuple = ((), {})
 
 
 def _t_only(ts: tuple[float, ...], degree: int) -> tuple:
-    """The t-only half of a fit on ``ts``, through the memo: ``_factor``'s
-    weight rows for a polynomial of ``degree``, or for degree 0 ``_center``'s
-    line half. A refused column raises its message."""
+    """``_factor``'s weight rows for a polynomial of ``degree`` on ``ts``,
+    through the memo. A refused column raises its message, which the memo
+    keeps, so the column is not factored again."""
     global _factored
     memo_ts, table = _factored  # one read, so the column and its table agree
     if memo_ts != ts:
@@ -329,7 +329,7 @@ def _t_only(ts: tuple[float, ...], degree: int) -> tuple:
         _factored = (ts, table)
     found = table.get(degree)
     if found is None:
-        found = table[degree] = _factor(ts, degree) if degree else _center(ts)
+        found = table[degree] = _factor(ts, degree)
     if found.__class__ is str:
         raise DegenerateAbscissaError(found)
     return found

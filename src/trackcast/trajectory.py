@@ -54,8 +54,19 @@ class WindowConfig(CheckedTuple, namedtuple("WindowConfig", "length horizon")):
 PredictedEndpoint = namedtuple("PredictedEndpoint", "t_target x y defect")
 
 
+def _span(ts: tuple[float, ...], length: int | None, cutoff_t: float) -> tuple[int, int]:
+    """The start and end of the slice of ``ts`` that a window keeps: the
+    samples with t <= cutoff_t, only the last ``length`` of them unless it
+    is None. A series' t is strictly increasing and never NaN, so bisecting
+    on t finds the end. No t is <= a NaN cutoff, which bisection alone would
+    read as past every sample."""
+    end = bisect_right(ts, cutoff_t) if cutoff_t == cutoff_t else 0
+    return (0 if length is None else max(0, end - length)), end
+
+
 def window(series: AxisSeries, config: WindowConfig, cutoff_t: float) -> AxisSeries:
-    """Samples with t <= cutoff_t, keeping only the last ``length`` of them.
+    """Samples with t <= cutoff_t, keeping only the last ``length`` of them,
+    the slice that ``_span`` gives.
 
     The result is kept on ``series`` under the key (length, cutoff_t), and a
     repeated call with an equal key returns that same windowed series. That
@@ -78,11 +89,7 @@ def window(series: AxisSeries, config: WindowConfig, cutoff_t: float) -> AxisSer
     if kept is not None and kept[0] == key:
         return kept[1]
     ts = series._ts
-    # A series' t is strictly increasing and never NaN, so bisecting on t
-    # finds the end of the samples with t <= cutoff_t. No t is <= a NaN
-    # cutoff, which bisection alone would read as past every sample.
-    end = bisect_right(ts, cutoff_t) if cutoff_t == cutoff_t else 0
-    start = 0 if config.length is None else max(0, end - config.length)
+    start, end = _span(ts, config.length, cutoff_t)
     windowed = AxisSeries._from_columns(series._axis, ts[start:end], series._vs[start:end],
                                         series._whole)
     if kept is not None:

@@ -510,6 +510,16 @@ class TestHostileInput:
         code, err = self.run_main(capsys, *argv)
         assert (code, err) == (2, f"error: {message}\n")
 
+    @pytest.mark.parametrize("n_frames", [str(2**53 + 2), "99999999999999999999999"],
+                             ids=["one_past", "23_digits"])
+    def test_spec_frames_past_max_frame(self, tmp_path, capsys, n_frames):
+        # Refused before any frame is generated: a t column of range(n_frames)
+        # would grow until memory ran out.
+        spec = tmp_path / "long.spec"
+        spec.write_text(f"a_x = 0\nb_x = 1\na_y = 0\nb_y = 1\nn_frames = {n_frames}\n")
+        code, err = self.run_main(capsys, "simulate", "--spec", str(spec))
+        assert (code, err) == (2, "error: n_frames must be <= 9007199254740993\n")
+
     def test_non_utf8_spec(self, tmp_path, capsys):
         spec = tmp_path / "bad.spec"
         spec.write_bytes(b"a_x = 0\nb_x = 1\na_y = 0\nb_y = 1\nn_frames = 5 # \xff\n")

@@ -278,6 +278,8 @@ class TestSynthesize:
             SyntheticSpec(a_x=0, b_x=0, a_y=0, b_y=0, n_frames=1, shake_prob=1.5)
         with pytest.raises(ValidationError):
             SyntheticSpec(a_x=0, b_x=0, a_y=0, b_y=0, n_frames=1, seed=2**64)
+        # Frames 0 .. 2**53, the last frame a stream may hold, are accepted.
+        assert SyntheticSpec(a_x=0, b_x=0, a_y=0, b_y=0, n_frames=2**53 + 1).n_frames == 2**53 + 1
 
 
 def _reference_box_muller(rng):

@@ -577,6 +577,11 @@ class TestValueTypes:
         ("y_max", None, "y_max must be a number, got None"),
         ("x_max", True, "x_max must be a number, got True"),
         ("length", True, "window length must be an integer, got True"),
+        # A frame past MAX_FRAME is one parse_detections refuses; the message
+        # holds no value, since a 5000-digit int cannot be formatted.
+        ("n_frames", 2**53 + 2, "n_frames must be <= 9007199254740993"),
+        ("noise_sigma", -0.5, "noise_sigma must be >= 0, got -0.5"),
+        ("shake_scale", -1, "shake_scale must be >= 0, got -1"),
     ], ids=["kind_family", "kind_degree", "region", "window_horizon", "window_horizon_huge",
             "window_horizon_nan", "window_horizon_inf", "window_horizon_str",
             "window_horizon_none", "window_horizon_bool", "window_length", "window_length_float",
@@ -585,7 +590,8 @@ class TestValueTypes:
             "spec_shake_scale_nan", "spec_frames_float", "spec_seed_float", "spec_seed_bool",
             "spec_variant_str", "spec_variant_none", "spec_a_x_str", "spec_shake_prob_none",
             "spec_noise_bool", "region_x_min_str", "region_y_max_none", "region_x_max_bool",
-            "window_length_bool"])
+            "window_length_bool", "spec_frames_past_max_frame", "spec_noise_negative",
+            "spec_shake_scale_negative"])
     def test_replace_checks_like_the_constructor(self, field, bad, message):
         value = next(v for v in CHECKED_VALUES if field in v._fields)
         with pytest.raises(ValidationError) as by_replace:

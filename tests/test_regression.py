@@ -546,6 +546,29 @@ class TestPolynomialMemo:
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
 
+    def test_line_fits_leave_the_memo(self, monkeypatch):
+        # A line takes its t half from the whole-frame template or from _center,
+        # never from this memo: linear, exp and sinexp fits on a gapped window
+        # and on a series the public constructor built, and a linear fit on raw
+        # pairs, leave the memo as they found it, so a polynomial fit on the
+        # column it holds factors nothing again.
+        calls = self.count_factor_steps(monkeypatch)
+        xs, _ = whole_stream([*range(20), *range(30, 60)], random.Random(6))
+        held = window(xs, WindowConfig(length=12), 45.0)
+        fit_model(held, polynomial(2))
+        memo = regression._factored
+        assert memo[0] is held._ts and list(memo[1]) == [2] and len(calls) == 1
+        gapped = window(xs, WindowConfig(length=8), 33.0)
+        unmarked = AxisSeries(Axis.X, xs.samples[:10])
+        assert gapped._whole and gapped._ts[-1] - gapped._ts[0] != 7 and not unmarked._whole
+        for s in (gapped, unmarked):
+            for kind in (LINEAR, EXPONENTIAL, SIN_EXPONENTIAL):
+                fit_model(s, kind)
+        fit_linear(list(zip((0.0, 2.0, 1.0, 3.0), (1.0, 5.0, 2.0, 7.0))))
+        assert regression._factored is memo and list(memo[1]) == [2]
+        fit_model(held, polynomial(2))
+        assert len(calls) == 1
+
     def test_each_refusal_is_a_new_exception(self):
         # poly12 on 31 frames passes the bound; on 600 frames p_599's values
         # underflow, so its squared norm is 0.
@@ -615,7 +638,6 @@ class TestSharedLogLine:
             return center(ts)
 
         monkeypatch.setattr(regression, "_center", counted)
-        monkeypatch.setattr(regression, "_factored", ((), {}))
         monkeypatch.setattr(regression, "_template", (0, 0.0, (), 0.0))
         xs, ys = synthesize(SyntheticSpec(a_x=0.01, b_x=2.0, a_y=0.02, b_y=3.0, n_frames=40))
         config = WindowConfig(length=10)
@@ -626,13 +648,31 @@ class TestSharedLogLine:
         for s in (xs, ys):
             fit_model(window(s, config, 25.0), EXPONENTIAL)
         assert len(calls) == 1
-        # A line through pairs takes the memo of its column, and the same bits.
+        # A line through pairs computes its own column's half, with the same bits.
         assert fit_linear(list(zip(range(16, 26), ys._vs[16:26]))) == \
             fit_model(window(ys, config, 25.0), LINEAR)[1:3]
         assert calls[1:] == [tuple(range(16, 26))]
         for s in (xs, ys):
             fit_model(window(s, WindowConfig(length=12), 30.0), EXPONENTIAL)
         assert calls[2:] == [tuple(map(float, range(12)))]
+
+    # Each refusal of a t column with no slope reaches the caller as a
+    # DegenerateAbscissaError with its own text, however the line was asked for.
+    @pytest.mark.parametrize("fit, message", [
+        (lambda: fit_linear([(3.0, 1.0), (3.0, 2.0), (3.0, 5.0)]),
+         "all t values are equal; cannot fit a slope"),
+        (lambda: fit_linear([(0.0, 1.0), (math.nan, 2.0)]),
+         "t value nan at sample 1 is not a number"),
+        (lambda: fit_model(series([(1e308, 1.0), (1.7e308, 2.0)]), SIN_EXPONENTIAL),
+         "the sum of the t values overflows"),
+        (lambda: fit_model(series([(1e-200, 1.0), (2e-200, 2.0)]), EXPONENTIAL),
+         "t values are numerically indistinguishable"),
+    ], ids=["equal_pairs", "nan_pair", "t_sum_overflows", "indistinguishable"])
+    def test_t_column_refusals(self, fit, message):
+        for _ in range(2):  # nothing is kept between two calls
+            with pytest.raises(DegenerateAbscissaError) as err:
+                fit()
+            assert type(err.value) is DegenerateAbscissaError and str(err.value) == message
 
     def test_domain_error_names_each_kind(self):
         s = series([(t, 0.0 if t == 4 else t + 1.0) for t in range(8)])
@@ -648,7 +688,7 @@ class TestSharedLogLine:
 
 
 def count_centers(monkeypatch):
-    """The t columns ``_center`` is called on from here on, both memos emptied."""
+    """The t columns ``_center`` is called on from here on, the template emptied."""
     calls = []
     center = regression._center
 
@@ -657,7 +697,6 @@ def count_centers(monkeypatch):
         return center(ts)
 
     monkeypatch.setattr(regression, "_center", counted)
-    monkeypatch.setattr(regression, "_factored", ((), {}))
     monkeypatch.setattr(regression, "_template", (0, 0.0, (), 0.0))
     return calls
 
@@ -675,7 +714,7 @@ def whole_stream(frames, rng):
 class TestWholeFrameTemplate:
     """A line on a gap-free window of whole-frame t takes the t half of
     0 .. n-1 moved by its first t, with the bits ``_center`` gives its own
-    column; any other column keeps the ``_t_only`` memo."""
+    column; ``_center`` computes any other column's half afresh."""
 
     def test_bit_identical_to_center(self, monkeypatch):
         # Offsets up to the guard n * max(|first|, |last|) < 2**53, where every
@@ -691,7 +730,6 @@ class TestWholeFrameTemplate:
             vs = [rng.uniform(-1e3, 1e3) for _ in range(n)]
             for first in firsts:
                 ts = tuple(map(float, range(first, first + n)))
-                regression._factored = ((), {})  # so that only the path misses it
                 del calls[:]
                 fast = line_hex(lambda: regression._line(ts, vs, True))
                 taken = all(c is not ts for c in calls)
@@ -719,7 +757,6 @@ class TestWholeFrameTemplate:
                 marked = window(s, config, cutoff)
                 assert marked._whole and not window(copy, config, cutoff)._whole
                 for kind in (LINEAR, SIN_EXPONENTIAL):
-                    regression._factored = ((), {})
                     del calls[:]
                     got = fit_model(marked, kind)
                     assert any(c is marked._ts for c in calls) == gapped
@@ -738,7 +775,6 @@ class TestWholeFrameTemplate:
         public = AxisSeries(Axis.X, tuple(zip(map(float, range(4)), vs)))
         assert not public._whole
         for s in (xs, ints, public):
-            regression._factored = ((), {})
             del calls[:]
             fit_model(s, EXPONENTIAL)
             assert calls == [s._ts]
