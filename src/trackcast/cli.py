@@ -100,8 +100,9 @@ def _write(path: str, content: str) -> None:
 
 def _load_series(args) -> tuple[AxisSeries, AxisSeries]:
     fmt = StreamFormat(args.format)
-    records = select_per_frame(parse_detections(_read(args.input), fmt))
-    xs, ys = build_series([to_observation(r) for r in records])
+    # The kept records are freed once their triples are built, before the series are.
+    xs, ys = build_series([to_observation(r) for r in
+                           select_per_frame(parse_detections(_read(args.input), fmt))])
     if not xs._ts:
         raise InsufficientDataError("input stream contains no detections")
     return xs, ys

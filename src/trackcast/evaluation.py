@@ -215,6 +215,12 @@ def _synthesize_at(spec: SyntheticSpec, ts: tuple[float, ...]) -> tuple[AxisSeri
 _SPEC_FLOAT_KEYS = ("a_x", "b_x", "a_y", "b_y", "noise_sigma", "shake_prob", "shake_scale")
 _SPEC_INT_KEYS = ("n_frames", "seed")
 _SPEC_REQUIRED = ("a_x", "b_x", "a_y", "b_y", "n_frames")
+# What reads each key's value text, and the refusal of a text it cannot read.
+_SPEC_READERS = {
+    **{key: (float, f"value for '{key}' must be a number") for key in _SPEC_FLOAT_KEYS},
+    **{key: (int, f"value for '{key}' must be an integer") for key in _SPEC_INT_KEYS},
+    "variant": (Variant, "variant must be one of: " + ", ".join(v.value for v in Variant)),
+}
 
 
 def parse_synthetic_spec(text: str) -> SyntheticSpec:
@@ -237,30 +243,15 @@ def parse_synthetic_spec(text: str) -> SyntheticSpec:
         value = value.strip()
         if key in values:
             raise ValidationError(f"line {line_no}: duplicate key '{key}'")
-        if key in _SPEC_FLOAT_KEYS:
-            try:
-                values[key] = float(value)
-            except ValueError:
-                raise ParseError(f"line {line_no}: value for '{key}' must be a number") from None
-            if not math.isfinite(values[key]):
-                raise ParseError(f"line {line_no}: value for '{key}' must be finite")
-        elif key in _SPEC_INT_KEYS:
-            try:
-                values[key] = int(value)
-            except ValueError:
-                raise ParseError(
-                    f"line {line_no}: value for '{key}' must be an integer"
-                ) from None
-        elif key == "variant":
-            try:
-                values[key] = Variant(value)
-            except ValueError:
-                tokens = ", ".join(v.value for v in Variant)
-                raise ParseError(
-                    f"line {line_no}: variant must be one of: {tokens}"
-                ) from None
-        else:
+        if key not in _SPEC_READERS:
             raise ValidationError(f"line {line_no}: unknown key '{key}'")
+        read, refusal = _SPEC_READERS[key]
+        try:
+            values[key] = read(value)
+        except ValueError:
+            raise ParseError(f"line {line_no}: {refusal}") from None
+        if read is float and not math.isfinite(values[key]):
+            raise ParseError(f"line {line_no}: value for '{key}' must be finite")
     for key in _SPEC_REQUIRED:
         if key not in values:
             raise ValidationError(f"missing required key '{key}'")

@@ -454,10 +454,11 @@ def to_observation(record: DetectionRecord) -> tuple[float, float, float]:
     return float(frame), left + width / 2.0, top + height / 2.0
 
 
-def build_series(observations: list[tuple[float, float, float]]) -> tuple[AxisSeries, AxisSeries]:
+def build_series(observations: Iterable[tuple[float, float, float]]
+                 ) -> tuple[AxisSeries, AxisSeries]:
     """Split (t, x, y) triples into an X and a Y series that share one t column,
     marked whole when every t is a float holding a whole number."""
-    ts, xs, ys = zip(*observations) if observations else ((), (), ())
+    ts, xs, ys = tuple(zip(*observations)) or ((), (), ())  # read once: may be an iterator
     _require_increasing(Axis.X, ts)  # the t column both series share, checked once
     try:  # float(frame), as to_observation gives it, holds a whole number
         whole = all(map(float.is_integer, ts))

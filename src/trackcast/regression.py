@@ -16,23 +16,24 @@ function of its argument, so the bits are those of logging every value.
 The polynomial kind is the non-linear comparison baseline, fitted through
 polynomials orthogonal on the window's t. Their recurrence, their mapping
 back to raw-t powers and the conditioning guard's verdict depend on t alone,
-so that work is done once per t column and degree and kept in a
-module-level memo of the last column; both axes of a window, and every
-batch spec with the same frames, only take their values' dot products.
-A line's t half (the t mean, the deviations and their sum of squares)
-depends on t alone too. On a window of consecutive whole frames, which each
-cutoff of a rolling replay and every batch spec brings, it comes from a
-memo of that of 0 .. n-1 for the last length n, moved by the window's first
-t; ``_center`` computes any other column's half afresh. The memos are
-shared by all threads: each fit reads a memo in one step, and a concurrent
-replacement at worst repeats the same work.
+so that work is done once per t column and degree and kept for the last
+column, in the ``functools.lru_cache(maxsize=1)`` function ``_factored``;
+both axes of a window, and every batch spec with the same frames, only take
+their values' dot products. A line's t half (the t mean, the deviations and
+their sum of squares) depends on t alone too. On a window of consecutive
+whole frames, which each cutoff of a rolling replay and every batch spec
+brings, it is that of 0 .. n-1, kept for the last length n by the
+``lru_cache(maxsize=1)`` function ``_whole_half``, moved by the window's
+first t; ``_center`` computes any other column's half afresh. Two threads
+that miss a cache at once each compute the same work.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from enum import Enum
 from math import fsum, isfinite
 from itertools import repeat
@@ -129,13 +130,13 @@ LinearFit = namedtuple("LinearFit", "slope intercept")
 FitResult = namedtuple("FitResult", "kind a b coefficients n_points")
 
 
-def fit_linear(pairs: Sequence[tuple[float, float]] | AxisSeries) -> LinearFit:
+def fit_linear(pairs: Iterable[tuple[float, float]] | AxisSeries) -> LinearFit:
     """Ordinary least squares line through (t, v) pairs, or through the
     columns of a series."""
     if pairs.__class__ is AxisSeries:
         ts, vs, whole = pairs._ts, pairs._vs, pairs._whole
     else:  # pairs may come in any order, so their t is never taken as whole
-        ts, vs = zip(*pairs) if pairs else ((), ())
+        ts, vs = tuple(zip(*pairs)) or ((), ())  # read once: pairs may be an iterator
         whole = False
     n = len(ts)
     if n < 2:
@@ -143,15 +144,16 @@ def fit_linear(pairs: Sequence[tuple[float, float]] | AxisSeries) -> LinearFit:
     return _line(ts, vs, whole)
 
 
-# (n, then _center's t mean, deviations and sum of squares for 0 .. n-1) for
-# the last length a line on whole consecutive t saw; another length replaces it.
-_template: tuple = (0, 0.0, (), 0.0)
+@functools.lru_cache(maxsize=1)
+def _whole_half(n: int) -> tuple[float, list[float], float]:
+    """``_center``'s t half of 0 .. n-1, kept for the last length asked."""
+    return _center(tuple(map(float, range(n))))
 
 
 def _line(ts: tuple[float, ...], vs: Sequence[float], whole: bool) -> LinearFit:
     """The least-squares line through the columns ``ts`` and ``vs``, with at
-    least two samples. The t half comes from the template below or from
-    ``_center``, which refuses a t column with no slope; a line past the
+    least two samples. The t half comes from ``_whole_half`` (see below) or
+    from ``_center``, which refuses a t column with no slope; a line past the
     float range is left to ``_rescaled_line``.
 
     ``whole`` says that ``ts`` is strictly increasing and every t a float
@@ -160,22 +162,18 @@ def _line(ts: tuple[float, ...], vs: Sequence[float], whole: bool) -> LinearFit:
     its first, and when n times its largest |t| is below 2**53 every partial
     sum ``_center`` forms is an exact integer. Its t half is then that of
     0 .. n-1 moved by the first t: the mean plus the first t, the same
-    deviations and the same sum of squares, bit for bit. That half is kept
-    for one length, read in one step, so that threads agree.
+    deviations and the same sum of squares, bit for bit. ``_whole_half``
+    keeps that half for one length.
 
     Every sum is a plain left-to-right one, as the builtin sum() gives it
     before CPython 3.12, which compensates float sums, and every square is
     the product d * d, never d ** 2, which calls the C library's pow() and
     some libraries round wrongly: the same bits on every version and platform.
     """
-    global _template
     n = len(ts)
     first = ts[0]
     if whole and ts[-1] - first == n - 1 and -2.0**53 < n * first and n * ts[-1] < 2.0**53:
-        size, t_mean, ds, s_tt = _template
-        if size != n:
-            t_mean, ds, s_tt = _center(tuple(map(float, range(n))))
-            _template = (n, t_mean, ds, s_tt)
+        t_mean, ds, s_tt = _whole_half(n)
         t_mean += first
     else:
         t_mean, ds, s_tt = _center(ts)
@@ -313,20 +311,19 @@ def _log_line(series: AxisSeries, kind: ModelKind, clamp_nonpositive: bool) -> L
     return line
 
 
-# (ts, {degree: what _factor returned}) for the last t column a polynomial
-# fit saw; a fit on a different column replaces it.
-_factored: tuple = ((), {})
+@functools.lru_cache(maxsize=1)
+def _factored(ts: tuple[float, ...]) -> dict:
+    """``{degree: what _factor returned}`` for the last t column asked,
+    which ``_t_only`` fills."""
+    return {}
 
 
 def _t_only(ts: tuple[float, ...], degree: int) -> tuple:
     """``_factor``'s weight rows for a polynomial of ``degree`` on ``ts``,
-    through the memo. A refused column raises its message, which the memo
-    keeps, so the column is not factored again."""
-    global _factored
-    memo_ts, table = _factored  # one read, so the column and its table agree
-    if memo_ts != ts:
-        table = {}
-        _factored = (ts, table)
+    through the table ``_factored`` keeps for the column. A refused column
+    raises its message, which the table keeps, so the column is not
+    factored again."""
+    table = _factored(ts)
     found = table.get(degree)
     if found is None:
         found = table[degree] = _factor(ts, degree)
@@ -339,7 +336,7 @@ def _fit_polynomial(ts: tuple[float, ...], vs: tuple[float, ...],
                     degree: int) -> tuple[float, ...]:
     """Least-squares polynomial in ascending powers of raw t.
 
-    ``_factor`` gives, through the memo, one row of weights per coefficient,
+    ``_factor`` gives, through ``_t_only``, one row of weights per coefficient,
     so each coefficient is one dot product with the values. ``math.fsum``
     rounds it correctly, so it has the same bits on every CPython version.
     A dot product past the float range refuses a value that is not finite,

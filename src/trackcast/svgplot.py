@@ -34,6 +34,13 @@ def _span(values: list[float]) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
+def _text(x: int, y: int, size: int, body: str, anchor: str = "") -> str:
+    """A monospace label at (x, y); ``anchor`` "end" puts its end there."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return (f'<text x="{x}" y="{y}" font-family="monospace" font-size="{size}"{anchor}>'
+            f'{body}</text>')
+
+
 def _panel_svg(panel: Panel, y_offset: int) -> list[str]:
     t_lo, t_hi = _span([*panel.ts, *panel.curve_ts, panel.prediction[0]])
     v_lo, v_hi = _span([*panel.values, *panel.curve_values, panel.prediction[1]])
@@ -49,32 +56,17 @@ def _panel_svg(panel: Panel, y_offset: int) -> list[str]:
     top = y_offset + MARGIN_TOP
     bottom = y_offset + PANEL_HEIGHT - MARGIN_BOTTOM
     right = WIDTH - MARGIN_RIGHT
-    out = [f'<g id="panel-{panel.title}">']
-    out.append(
+    out = [
+        f'<g id="panel-{panel.title}">',
         f'<rect x="{MARGIN_LEFT}" y="{top}" width="{plot_w}" height="{plot_h}" '
-        'fill="none" stroke="#999999"/>'
-    )
-    out.append(
-        f'<text x="{MARGIN_LEFT}" y="{top - 10}" font-family="monospace" '
-        f'font-size="14">{panel.title} vs t</text>'
-    )
-    # min/max tick labels on both axes
-    out.append(
-        f'<text x="{MARGIN_LEFT}" y="{bottom + 18}" font-family="monospace" '
-        f'font-size="10">{fixed6(t_lo)}</text>'
-    )
-    out.append(
-        f'<text x="{right}" y="{bottom + 18}" font-family="monospace" '
-        f'font-size="10" text-anchor="end">{fixed6(t_hi)}</text>'
-    )
-    out.append(
-        f'<text x="{MARGIN_LEFT - 4}" y="{bottom}" font-family="monospace" '
-        f'font-size="10" text-anchor="end">{fixed6(v_lo)}</text>'
-    )
-    out.append(
-        f'<text x="{MARGIN_LEFT - 4}" y="{top + 10}" font-family="monospace" '
-        f'font-size="10" text-anchor="end">{fixed6(v_hi)}</text>'
-    )
+        'fill="none" stroke="#999999"/>',
+        _text(MARGIN_LEFT, top - 10, 14, f"{panel.title} vs t"),
+        # min/max tick labels on both axes
+        _text(MARGIN_LEFT, bottom + 18, 10, fixed6(t_lo)),
+        _text(right, bottom + 18, 10, fixed6(t_hi), "end"),
+        _text(MARGIN_LEFT - 4, bottom, 10, fixed6(v_lo), "end"),
+        _text(MARGIN_LEFT - 4, top + 10, 10, fixed6(v_hi), "end"),
+    ]
     if panel.curve_ts:
         points = " ".join(f"{px(t)},{py(v)}" for t, v in zip(panel.curve_ts, panel.curve_values))
         out.append(f'<polyline {CURVE_STYLE} points="{points}"/>')

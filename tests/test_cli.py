@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -705,6 +706,43 @@ def test_commands_build_no_pairs(growth_spec, tmp_path, capsys, monkeypatch):
     assert outputs() == expected
     assert [(code, bool(out), err) for code, (out, err) in expected] == [
         (0, True, ""), (0, True, ""), (3, True, ""), (0, True, ""), (0, True, "")]
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_kept_records_are_freed_before_the_series_are_built(growth_spec, tmp_path, capsys,
+                                                           monkeypatch, fmt):
+    # The records select_per_frame keeps are needed only for their triples:
+    # nothing holds them while build_series runs, so the peak of the route is
+    # the larger of the records and the series, not their sum.
+    stream = tmp_path / "stream.jsonl"
+    assert main(["simulate", "--spec", str(growth_spec), "--out", str(stream)]) == 0
+    if fmt == "csv":
+        records = parse_detections(stream.read_text(), StreamFormat.JSONL)
+        stream = tmp_path / "stream.csv"
+        stream.write_text(render_detections(records, StreamFormat.CSV))
+    expected = (main(["fit", "--input", str(stream), "--format", fmt, "--axis", "x"]),
+                capsys.readouterr())
+
+    class Kept(list):
+        pass
+
+    kept = []
+    select, build = cli.select_per_frame, cli.build_series
+
+    def selecting(records):
+        records = Kept(select(records))
+        kept.append(weakref.ref(records))
+        return records
+
+    def building(observations):
+        assert [ref() for ref in kept] == [None], "the kept records are still alive"
+        return build(observations)
+
+    monkeypatch.setattr(cli, "select_per_frame", selecting)
+    monkeypatch.setattr(cli, "build_series", building)
+    assert (main(["fit", "--input", str(stream), "--format", fmt, "--axis", "x"]),
+            capsys.readouterr()) == expected
+    assert len(kept) == 1 and expected[0] == 0
 
 
 class ReadRecorder(argparse.Namespace):

@@ -406,6 +406,13 @@ class TestBuildSeries:
         xs, ys = build_series([])
         assert xs.samples == () and ys.samples == ()
 
+    def test_any_empty_iterable_is_no_samples(self):
+        # The triples are read once, so an empty iterator gives what [] gives.
+        for empty in ((), iter([]), (obs for obs in ()), zip((), (), ())):
+            assert build_series(empty) == build_series([])
+        obs = [(0.0, 12.0, 23.0), (2.0, 13.0, 22.0)]
+        assert build_series(iter(obs)) == build_series(obs)
+
     def test_duplicate_t_rejected(self):
         with pytest.raises(OrderingError):
             build_series([(1, 5, 5), (1, 6, 6)])

@@ -1,3 +1,4 @@
+import ast
 import math
 import pickle
 import random
@@ -6,6 +7,7 @@ import sys
 import threading
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +114,14 @@ class TestFitLinear:
         assert fit_linear([(0, 1.0), (2, 5.0), (1, 2.0), (3, 7.0)]).slope == 2.1
         assert tuple(fit_linear([(0.0, 1.0), (1.0, 5.0), (1.0, 2.0), (3.0, 7.0)])) == (
             1.9473684210526316, 1.3157894736842106)
+
+    def test_any_empty_iterable_is_refused_as_no_pairs(self):
+        # The pairs are read once, so an empty iterator is refused as [] is.
+        for empty in ([], (), iter([]), (pair for pair in ()), zip((), ())):
+            with pytest.raises(InsufficientDataError) as err:
+                fit_linear(empty)
+            assert str(err.value) == "linear fit needs at least 2 pairs, got 0"
+        assert fit_linear(iter([(0, 1), (1, 3)])) == fit_linear([(0, 1), (1, 3)])
 
     def test_matches_normal_equations_oracle(self):
         rng = random.Random(101)
@@ -428,14 +438,22 @@ def bits(call):
 
 
 def fresh_bits(s, degree):
-    """The bits of a polynomial fit of series ``s`` factored afresh: the memo
-    emptied first and put back after, so the fit reads no earlier column's work."""
-    saved = regression._factored
-    regression._factored = ((), {})
+    """The bits of a polynomial fit of series ``s`` factored afresh: the memo's
+    uncached function gives a new table, so the fit reads no earlier column's
+    work and leaves the memo as it was."""
+    memo = regression._factored
+    regression._factored = memo.__wrapped__
     try:
         return bits(lambda: regression._fit_polynomial(s._ts, s._vs, degree))
     finally:
-        regression._factored = saved
+        regression._factored = memo
+
+
+def holds(memo, key):
+    """Whether the one-entry cache ``memo`` holds ``key``: a call on it hits."""
+    hits = memo.cache_info().hits
+    memo(key)
+    return memo.cache_info().hits == hits + 1
 
 
 class TestPolynomialMemo:
@@ -452,7 +470,7 @@ class TestPolynomialMemo:
 
         factor = regression._factor
         monkeypatch.setattr(regression, "_factor", counted)
-        monkeypatch.setattr(regression, "_factored", ((), {}))
+        regression._factored.cache_clear()
         return calls
 
     def test_matches_reference_bit_for_bit(self):
@@ -491,6 +509,7 @@ class TestPolynomialMemo:
         for cutoff in (30.0, 20.0, 20.0):
             compare(xs, ys, kinds, cutoff, WindowConfig(horizon=5))
         assert [(len(ts), degree) for ts, degree in calls] == [(31, 2), (31, 5), (21, 2), (21, 5)]
+        assert regression._factored.cache_info().currsize == 1  # one column kept at a time
 
     def test_one_factor_step_per_column_and_degree_over_a_batch(self, monkeypatch):
         calls = self.count_factor_steps(monkeypatch)
@@ -556,8 +575,10 @@ class TestPolynomialMemo:
         xs, _ = whole_stream([*range(20), *range(30, 60)], random.Random(6))
         held = window(xs, WindowConfig(length=12), 45.0)
         fit_model(held, polynomial(2))
-        memo = regression._factored
-        assert memo[0] is held._ts and list(memo[1]) == [2] and len(calls) == 1
+        assert holds(regression._factored, held._ts) and len(calls) == 1
+        table = regression._factored(held._ts)
+        assert list(table) == [2]
+        info = regression._factored.cache_info()
         gapped = window(xs, WindowConfig(length=8), 33.0)
         unmarked = AxisSeries(Axis.X, xs.samples[:10])
         assert gapped._whole and gapped._ts[-1] - gapped._ts[0] != 7 and not unmarked._whole
@@ -565,7 +586,8 @@ class TestPolynomialMemo:
             for kind in (LINEAR, EXPONENTIAL, SIN_EXPONENTIAL):
                 fit_model(s, kind)
         fit_linear(list(zip((0.0, 2.0, 1.0, 3.0), (1.0, 5.0, 2.0, 7.0))))
-        assert regression._factored is memo and list(memo[1]) == [2]
+        assert regression._factored.cache_info() == info  # neither read nor replaced
+        assert regression._factored(held._ts) is table and list(table) == [2]
         fit_model(held, polynomial(2))
         assert len(calls) == 1
 
@@ -638,7 +660,7 @@ class TestSharedLogLine:
             return center(ts)
 
         monkeypatch.setattr(regression, "_center", counted)
-        monkeypatch.setattr(regression, "_template", (0, 0.0, (), 0.0))
+        regression._whole_half.cache_clear()
         xs, ys = synthesize(SyntheticSpec(a_x=0.01, b_x=2.0, a_y=0.02, b_y=3.0, n_frames=40))
         config = WindowConfig(length=10)
         for kind in (SIN_EXPONENTIAL, LINEAR):
@@ -688,7 +710,7 @@ class TestSharedLogLine:
 
 
 def count_centers(monkeypatch):
-    """The t columns ``_center`` is called on from here on, the template emptied."""
+    """The t columns ``_center`` is called on from here on, ``_whole_half`` emptied."""
     calls = []
     center = regression._center
 
@@ -697,7 +719,7 @@ def count_centers(monkeypatch):
         return center(ts)
 
     monkeypatch.setattr(regression, "_center", counted)
-    monkeypatch.setattr(regression, "_template", (0, 0.0, (), 0.0))
+    regression._whole_half.cache_clear()
     return calls
 
 
@@ -736,9 +758,9 @@ class TestWholeFrameTemplate:
                 assert taken == (n * max(-first, first + n - 1) < 2**53), (n, first)
                 assert fast == line_hex(lambda: regression._line(ts, vs, False)), (n, first)
                 if taken:
-                    size, t_mean, ds, s_tt = regression._template
+                    assert holds(regression._whole_half, n)
+                    t_mean, ds, s_tt = regression._whole_half(n)
                     expected_mean, expected_ds, expected_s_tt = center(ts)
-                    assert size == n
                     assert (t_mean + ts[0]).hex() == expected_mean.hex()
                     assert list(map(float.hex, ds)) == list(map(float.hex, expected_ds))
                     assert s_tt.hex() == expected_s_tt.hex()
@@ -782,7 +804,7 @@ class TestWholeFrameTemplate:
         del calls[:]
         assert fit_linear(list(zip((0.0, 2.0, 1.0, 3.0), vs))).slope == 2.1
         assert calls == [(0.0, 2.0, 1.0, 3.0)]
-        assert regression._template == (0, 0.0, (), 0.0)
+        assert regression._whole_half.cache_info().currsize == 0
 
     def test_rolling_replay_takes_one_half_per_window_length(self, monkeypatch):
         # A live tracker's replay at 250 cutoffs of a stream with gaps early in
@@ -806,7 +828,8 @@ class TestWholeFrameTemplate:
         config = WindowConfig()  # the whole history: each cutoff a new length
         for cutoff in range(1, 40):
             fit_model(window(xs, config, float(cutoff)), LINEAR)
-            assert regression._template[0] == cutoff + 1
+            assert holds(regression._whole_half, cutoff + 1)
+            assert regression._whole_half.cache_info().currsize == 1
         assert calls == [tuple(map(float, range(n))) for n in range(2, 41)]
         fit_model(window(xs, config, 9.0), LINEAR)  # length 10 again is computed again
         assert calls[-1] == tuple(map(float, range(10))) and len(calls) == 40
@@ -833,7 +856,7 @@ class TestWholeFrameTemplate:
             return half
 
         monkeypatch.setattr(regression, "_center", yielding)
-        monkeypatch.setattr(regression, "_template", (0, 0.0, (), 0.0))
+        regression._whole_half.cache_clear()
         wrong = []
 
         def work(seed):
@@ -855,6 +878,18 @@ class TestWholeFrameTemplate:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
+
+
+def test_no_module_rebinds_a_global():
+    # Module state that outlives a call is kept by functools caches, whose
+    # cache_clear and cache_info tests read, never by a function that
+    # rebinds a module-level name.
+    modules = sorted(Path(regression.__file__).parent.glob("*.py"))
+    assert len(modules) >= 10
+    found = [(path.name, node.lineno) for path in modules
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Global)]
+    assert found == []
 
 
 def log_stream(frames, rng, bad=None):
