@@ -4,8 +4,7 @@ A line counts when a token other than a comment or a line break lies on it;
 blank lines, comment lines and the lines of module, class and function
 docstrings do not count. A string that spans lines counts each line it spans.
 
-    python tests/code_lines.py          print each module's count and the total
-    python tests/code_lines.py DIR      the same for the modules under DIR
+    python tests/code_lines.py    print each module's count and the total
 
 Only the standard library is used, so any interpreter can run it.
 """
@@ -43,10 +42,9 @@ def code_lines(source: str) -> int:
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
-def _main(argv: list[str]) -> int:
-    root = Path(argv[0]) if argv else PACKAGE
+def _main() -> int:
     total = 0
-    for path in sorted(root.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
         print(f"{count:6d}  {path.name}")
@@ -55,4 +53,4 @@ def _main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(_main(sys.argv[1:]))
+    sys.exit(_main())
