@@ -8,8 +8,8 @@ Commands:
     trackcast plot --input stream.jsonl --model sinexp --out fit.svg
 
 Exit codes: 0 success (no defect), 3 defect predicted, 2 usage, parse, or
-fit error. Diagnostics go to standard error. All numbers are printed with
-six decimal places so outputs are byte-stable.
+fit error, or out of memory. Diagnostics go to standard error. All numbers
+are printed with six decimal places so outputs are byte-stable.
 """
 
 from __future__ import annotations
@@ -112,13 +112,10 @@ def _cutoff(args, fallback: float) -> float:
     return fallback if args.cutoff is None else args.cutoff
 
 
-def _add_stream_options(sub) -> None:
+def _add_series_options(sub) -> None:
     sub.add_argument("--input", default="-", help="detection stream path, '-' for stdin")
     sub.add_argument("--format", choices=["jsonl", "csv"], default="jsonl",
                      help="input stream format")
-
-
-def _add_fit_options(sub) -> None:
     sub.add_argument("--window", type=_window_arg, default=None,
                      help="frames of history used for fitting (integer or 'all')")
     sub.add_argument("--cutoff", type=float, default=None,
@@ -252,21 +249,18 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", default="-", help="output path, '-' for stdout")
 
     fit = add_parser("fit", help="fit one axis and print the parameters")
-    _add_stream_options(fit)
-    _add_fit_options(fit)
+    _add_series_options(fit)
     fit.add_argument("--axis", choices=["x", "y"], required=True)
 
     pred = add_parser("predict", help="predict the endpoint position ahead")
-    _add_stream_options(pred)
-    _add_fit_options(pred)
+    _add_series_options(pred)
     pred.add_argument("--horizon", type=int, default=DEFAULT_HORIZON,
                       help="frames ahead of the cutoff")
     pred.add_argument("--region", type=_region_arg, default=None,
                       help="defect gate rectangle x0,y0,x1,y1")
 
     comp = add_parser("compare", help="score several models against ground truth")
-    _add_stream_options(comp)
-    _add_fit_options(comp)
+    _add_series_options(comp)
     comp.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
     comp.add_argument("--models", default=None,
                       help="comma-separated model list (default: sinexp,cosexp,exp,poly)")
@@ -275,8 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--out", default="-", help="output path, '-' for stdout")
 
     plot = add_parser("plot", help="emit a two-panel SVG of fit and prediction")
-    _add_stream_options(plot)
-    _add_fit_options(plot)
+    _add_series_options(plot)
     plot.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
     plot.add_argument("--out", required=True, help="SVG output path")
     # compare scores a list of models; with no --model of its own, argparse's
@@ -302,8 +295,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return command(args)
     except (TrackcastError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
+    except MemoryError:  # reported once the failed command's frames are freed
+        message = "out of memory"
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -90,11 +90,12 @@ class AxisSeries:
     pairs, is built on its first read and kept. A series never changes after
     it is built, so results derived from it can be kept on it:
     ``trajectory.window`` keeps its last window in ``_window`` and
-    ``regression.fit_model`` its exponential-family line in ``_log_line`` or
-    ``_log_line_clamped``. ``_whole`` is True only when every t is known to
-    be a float holding a whole number: ``build_series`` tests it,
-    ``evaluation`` sets it on the frames it generates, ``trajectory.window``
-    keeps it on its slices, and the public constructor leaves it False.
+    ``regression.fit_model`` its last exponential-family line in
+    ``_log_line``, as ``(clamp_nonpositive, line)``. ``_whole`` is True
+    only when every t is known to be a float holding a whole number:
+    ``build_series`` tests it, ``evaluation`` sets it on the frames it
+    generates, ``trajectory.window`` keeps it on its slices, and the public
+    constructor leaves it False.
     ``regression`` reads it to take a gap-free window's t half by
     translation. ``_logs`` holds the logs of the first k values, for some k
     from 0 (the empty tuple, the default) to the series' length:
@@ -107,8 +108,7 @@ class AxisSeries:
     ``_logs``.
     """
 
-    __slots__ = ("_axis", "_ts", "_vs", "_whole", "_logs", "_samples", "_window", "_log_line",
-                 "_log_line_clamped")
+    __slots__ = ("_axis", "_ts", "_vs", "_whole", "_logs", "_samples", "_window", "_log_line")
 
     axis = property(attrgetter("_axis"))
 
@@ -128,7 +128,7 @@ class AxisSeries:
         series = object.__new__(cls)
         series._axis, series._ts, series._vs, series._whole = axis, ts, vs, whole
         series._logs = ()
-        series._samples = series._window = series._log_line = series._log_line_clamped = None
+        series._samples = series._window = series._log_line = None
         return series
 
     # Kept, with its cache, for the benchmark's tracer (bench/tracing.py), which
@@ -298,44 +298,39 @@ def _parse_csv(text: str) -> list[DetectionRecord]:
     import csv
 
     reader = csv.reader(_csv_lines(text))
-    try:
-        return _read_csv(reader)
-    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
-        raise ParseError(f"line {reader.line_num}: {exc}") from None
-
-
-def _read_csv(reader) -> list[DetectionRecord]:
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("line 1: missing CSV header") from None
-    if header != CSV_HEADER:
-        raise ParseError(f"line 1: CSV header must be exactly '{','.join(CSV_HEADER)}'")
     new, record_class, inf = tuple.__new__, DetectionRecord, _INF
     shared = {}.setdefault  # one str per distinct label
     records = []
     append = records.append
-    for row in reader:
-        # One test admits the common shape, as in _parse_jsonl; any other row
-        # goes to _csv_record, which checks it field by field and alone raises.
-        try:
-            frame, left, top, width, height, confidence, label = row
-            frame = int(frame)
-            left, top, width, height = float(left), float(top), float(width), float(height)
-            confidence = float(confidence) if confidence else 1.0
-        except ValueError:
-            pass
-        else:
-            if (0 <= frame <= MAX_FRAME
-                    and left - left == 0.0 and top - top == 0.0
-                    and 0.0 < width < inf and 0.0 < height < inf
-                    and left + width / 2.0 < inf and top + height / 2.0 < inf
-                    and 0.0 <= confidence <= 1.0):
-                append(new(record_class, (frame, left, top, width, height, confidence,
-                                          shared(label, label))))
-                continue
-        if row:
-            append(_csv_record(row, reader.line_num))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("line 1: missing CSV header")
+        if header != CSV_HEADER:
+            raise ParseError(f"line 1: CSV header must be exactly '{','.join(CSV_HEADER)}'")
+        for row in reader:
+            # One test admits the common shape, as in _parse_jsonl; any other row
+            # goes to _csv_record, which checks it field by field and alone raises.
+            try:
+                frame, left, top, width, height, confidence, label = row
+                frame = int(frame)
+                left, top, width, height = float(left), float(top), float(width), float(height)
+                confidence = float(confidence) if confidence else 1.0
+            except ValueError:
+                pass
+            else:
+                if (0 <= frame <= MAX_FRAME
+                        and left - left == 0.0 and top - top == 0.0
+                        and 0.0 < width < inf and 0.0 < height < inf
+                        and left + width / 2.0 < inf and top + height / 2.0 < inf
+                        and 0.0 <= confidence <= 1.0):
+                    append(new(record_class, (frame, left, top, width, height, confidence,
+                                              shared(label, label))))
+                    continue
+            if row:
+                append(_csv_record(row, reader.line_num))
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
     return records
 
 

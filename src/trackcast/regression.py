@@ -249,10 +249,10 @@ def fit_model(series: AxisSeries, kind: ModelKind, clamp_nonpositive: bool = Fal
 
     Exponential-family kinds require every value positive unless
     ``clamp_nonpositive`` lifts offenders to CLAMP_FLOOR. They share one
-    line on (t, ln v), which is kept on the series, one per clamp value,
-    and each kind derives its intercept from it. That is safe because a
-    series never changes. A DomainError is not kept, so each kind raises it
-    under its own label.
+    line on (t, ln v), and each kind derives its intercept from it. The
+    series keeps the last line fitted on it, with its clamp value, which is
+    safe because a series never changes. A DomainError is not kept, so each
+    kind raises it under its own label.
     """
     n = len(series._ts)
     family, degree = kind
@@ -275,7 +275,9 @@ def fit_model(series: AxisSeries, kind: ModelKind, clamp_nonpositive: bool = Fal
 
 
 def _log_line(series: AxisSeries, kind: ModelKind, clamp_nonpositive: bool) -> LinearFit:
-    """The least-squares line on (t, ln v), kept on the series per clamp value.
+    """The least-squares line on (t, ln v), kept on the series as
+    ``(clamp_nonpositive, line)``: one slot that holds the last line fitted,
+    as every caller fits a series under a single clamp value.
 
     The values are checked or clamped and their logs taken; ``_line`` then
     sums them and their products with the t deviations. The series' ``_logs``
@@ -285,9 +287,9 @@ def _log_line(series: AxisSeries, kind: ModelKind, clamp_nonpositive: bool) -> L
     one that is sends the fit down the refusing or clamping path, which logs
     every value again and stores nothing.
     """
-    line = series._log_line_clamped if clamp_nonpositive else series._log_line
-    if line is not None:
-        return line
+    kept = series._log_line
+    if kept is not None and kept[0] == clamp_nonpositive:
+        return kept[1]
     vs = series._vs
     head = series._logs  # one read of an immutable tuple, so threads agree
     try:
@@ -304,10 +306,7 @@ def _log_line(series: AxisSeries, kind: ModelKind, clamp_nonpositive: bool) -> L
                 v = CLAMP_FLOOR
             logs.append(math.log(v))
     line = _line(series._ts, logs, series._whole)
-    if clamp_nonpositive:
-        series._log_line_clamped = line
-    else:
-        series._log_line = line
+    series._log_line = (clamp_nonpositive, line)
     return line
 
 

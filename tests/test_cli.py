@@ -408,6 +408,27 @@ class TestExitCodes:
         code, _, _ = run_cli("fit", "--axis", "z", stdin="")
         assert code == 2
 
+    def test_out_of_memory_exits_2(self, tmp_path):
+        # n_frames is under the 2**53 + 1 cap, but its t column cannot fit in
+        # the 400 MiB address space the child is given.
+        resource = pytest.importorskip("resource")
+        if not hasattr(resource, "RLIMIT_AS"):
+            pytest.skip("no RLIMIT_AS on this platform")
+        spec = tmp_path / "huge.spec"
+        spec.write_text("a_x = 0\nb_x = 1\na_y = 0\nb_y = 1\nn_frames = 10000000000\n")
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+        try:
+            result = subprocess.run([sys.executable, "-m", "trackcast", "simulate", "--spec",
+                                     str(spec)], preexec_fn=limit_memory,
+                                    capture_output=True, text=True)
+        except subprocess.SubprocessError:  # setrlimit refused in the child
+            pytest.skip("RLIMIT_AS cannot be set here")
+        assert (result.returncode, result.stdout, result.stderr) == \
+            (2, "", "error: out of memory\n")
+
 
 class TestHostileInput:
     """Hostile bytes get exit 2 and one ``error:`` line, checked in-process."""
@@ -681,6 +702,19 @@ def test_help_wraps_at_78_columns_whatever_columns_says(run_cli, monkeypatch, ar
     for columns in ("200", "40", "80"):
         monkeypatch.setenv("COLUMNS", columns)
         assert run_cli(*argv) == default, columns
+
+
+def test_help_text_is_pinned(run_cli, monkeypatch):
+    # Each command's help, options and their order and wording included, is
+    # the committed text, which test_help_wraps_at_78_columns_whatever_columns_says
+    # holds the same under any COLUMNS.
+    monkeypatch.delenv("COLUMNS", raising=False)
+    text = []
+    for command in ([], ["simulate"], ["fit"], ["predict"], ["compare"], ["plot"]):
+        code, out, err = run_cli(*command, "--help")
+        assert (code, err) == (0, "")
+        text.append(f"$ {' '.join(['trackcast', *command, '--help'])}\n{out}")
+    assert "".join(text) == (Path(__file__).parent / "data" / "help.txt").read_text()
 
 
 def test_commands_build_no_pairs(growth_spec, tmp_path, capsys, monkeypatch):

@@ -638,14 +638,19 @@ class TestSharedLogLine:
         return calls
 
     def test_one_line_per_series_and_clamp_value(self, monkeypatch):
+        # The series keeps its last line with its clamp value: the kinds share
+        # it under one clamp value, and a change of clamp value fits afresh.
         calls = self.count_line_fits(monkeypatch)
         values = [(t, 2.0 + math.sin(t)) for t in range(12)]
-        s = series(values)
-        for clamp in (False, True, False, True):
-            for kind in EXP_FAMILY:
-                assert fit_model(s, kind, clamp) == fit_model(series(values), kind, clamp)
-        # the fresh copies fit 12 lines, the shared series one per clamp value
-        assert len(calls) == 12 + 2
+        for order, kept_fits in (((False, True, False, True), 4),
+                                 ((False, False, True, True), 2)):
+            calls.clear()
+            s = series(values)
+            for clamp in order:
+                for kind in EXP_FAMILY:
+                    assert fit_model(s, kind, clamp) == fit_model(series(values), kind, clamp)
+            # the fresh copies fit 12 lines, the shared series one per run of a clamp value
+            assert len(calls) == 12 + kept_fits, order
 
     def test_t_half_once_per_column(self, monkeypatch):
         # Whole-frame windows of one length share the t half of 0 .. n-1, x
