@@ -61,7 +61,10 @@ COMPARISON_CSV_HEADER = "model,err_x_pct,err_y_pct,t_target,pred_x,pred_y,actual
 
 # Per-model prediction errors at the target frame. ``err_x_pct``,
 # ``err_y_pct`` and ``predicted`` are None (unavailable) when the fit or the
-# prediction failed; ``failure`` then carries the reason.
+# prediction failed; ``failure`` then carries the reason. The rows of one
+# ``compare`` table, unavailable ones included, share one ``t_target`` float
+# and one ``actual`` tuple, which is safe as both are immutable; a row from
+# ``evaluate`` called alone holds its own.
 ErrorReport = namedtuple("ErrorReport", "kind err_x_pct err_y_pct t_target predicted actual "
                          "failure", defaults=(None,))
 
@@ -124,6 +127,12 @@ def _value_at(series: AxisSeries, t: float) -> float:
     )
 
 
+def _read_truth(xs: AxisSeries, ys: AxisSeries, cutoff_t: float,
+                config: WindowConfig) -> tuple[float, tuple[float, float]]:
+    t_target = cutoff_t + config.horizon
+    return t_target, (_value_at(xs, t_target), _value_at(ys, t_target))
+
+
 def evaluate(
     xs: AxisSeries,
     ys: AxisSeries,
@@ -131,10 +140,15 @@ def evaluate(
     cutoff_t: float,
     config: WindowConfig,
     clamp_nonpositive: bool = False,
+    *,
+    _truth: tuple[float, tuple[float, float]] | None = None,
 ) -> ErrorReport:
-    """Score one model: fit on t <= cutoff, read truth at cutoff + horizon."""
-    t_target = cutoff_t + config.horizon
-    actual = (_value_at(xs, t_target), _value_at(ys, t_target))
+    """Score one model: fit on t <= cutoff, read truth at cutoff + horizon.
+
+    Called alone, it reads its own ``t_target`` and ``actual``; ``compare``
+    reads them once per table and passes them in as ``_truth``.
+    """
+    t_target, actual = _truth or _read_truth(xs, ys, cutoff_t, config)
     try:
         _, x, y, _ = predict_endpoint(xs, ys, kind, config, cutoff_t, None, clamp_nonpositive)
     except (FitError, PredictionRangeError) as exc:
@@ -154,9 +168,16 @@ def compare(
     """One ErrorReport per kind, in the requested order.
 
     A failing kind yields an unavailable row; a missing ground-truth sample
-    aborts the whole table.
+    aborts the whole table before any fit. The truth is read once, at the
+    first row, so every row shares one ``t_target`` and one ``actual``
+    object, and a table with no kinds reads nothing.
     """
-    return [evaluate(xs, ys, kind, cutoff_t, config, clamp_nonpositive) for kind in kinds]
+    truth = None
+    reports = []
+    for kind in kinds:
+        truth = truth or _read_truth(xs, ys, cutoff_t, config)
+        reports.append(evaluate(xs, ys, kind, cutoff_t, config, clamp_nonpositive, _truth=truth))
+    return reports
 
 
 def _synth_axis(axis: Axis, a: float, b: float, spec: SyntheticSpec, rng: random.Random,

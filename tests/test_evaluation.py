@@ -139,9 +139,7 @@ class TestCompare:
         assert trimmed == [full[0], full[1], full[3]]
 
     def test_failing_kind_is_isolated(self):
-        values = [(float(t), 5.0 if t != 3 else 0.0) for t in range(91)]
-        xs = AxisSeries(Axis.X, tuple(values))
-        ys = series(Axis.Y, lambda t: t + 1.0, range(91))
+        xs, ys = self.isolated_failure()
         reports = compare(xs, ys, [EXPONENTIAL, polynomial(2)], 30.0, WindowConfig())
         assert reports[0].err_x_pct is None
         assert reports[1].err_x_pct is not None
@@ -151,6 +149,35 @@ class TestCompare:
         xs, ys = self.trajectory()
         with pytest.raises(MissingTruthError):
             compare(xs, ys, DEFAULT_KINDS, 31.5, WindowConfig(horizon=60))
+        # A table with no kinds reads no truth, so it has none to miss.
+        for kinds in ([], iter(())):
+            assert compare(xs, ys, kinds, 31.5, WindowConfig(horizon=60)) == []
+
+    @staticmethod
+    def isolated_failure():
+        """Series on which the exp row is unavailable and the others are not."""
+        values = [(float(t), 5.0 if t != 3 else 0.0) for t in range(91)]
+        return AxisSeries(Axis.X, tuple(values)), series(Axis.Y, lambda t: t + 1.0, range(91))
+
+    def test_each_row_comes_from_evaluate_and_shares_one_truth(self, monkeypatch):
+        # The benchmark's tracer spans and counts rows by wrapping evaluation.evaluate.
+        calls = []
+        evaluate_ = evaluation.evaluate
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return evaluate_(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "evaluate", counting)
+        xs, ys = self.isolated_failure()
+        kinds = [LINEAR, EXPONENTIAL, polynomial(2), EXPONENTIAL]
+        reports = compare(xs, ys, iter(kinds), 30.0, WindowConfig())
+        assert calls == [r.kind for r in reports] == kinds
+        assert reports[1].predicted is None and reports[2].predicted is not None
+        first = reports[0]
+        assert first.t_target == 90.0 and first.actual == (5.0, 91.0)
+        for r in reports:  # unavailable rows included
+            assert r.t_target is first.t_target and r.actual is first.actual
 
     def test_equals_evaluate_on_fresh_series(self):
         # compare reuses one window and one log-line per axis across kinds, and
@@ -536,6 +563,18 @@ class TestBatchCompare:
             for spec in specs:
                 got = outcome(lambda: batch_compare([spec], (), cutoff, config))
                 assert repr(got) == repr(self.expected([spec], (), cutoff, config))
+
+    def test_rows_of_each_table_share_one_truth(self):
+        # poly5 needs 6 samples, so a window of 4 makes its rows unavailable.
+        specs = [SyntheticSpec(a_x=0.01, b_x=3.0, a_y=0.02, b_y=4.0, noise_sigma=0.02, seed=seed)
+                 for seed in range(3)]
+        tables = batch_compare(specs, self.KINDS, 30.0, WindowConfig(length=4, horizon=60))
+        for table in tables:
+            assert table[-1].predicted is None and table[0].predicted is not None
+            first = table[0]
+            for r in table:
+                assert r.t_target is first.t_target and r.actual is first.actual
+        assert tables[0][0].actual != tables[1][0].actual
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_sparse_frames_keep_their_bits(self, variant):
