@@ -43,7 +43,6 @@ from .ingest import (
     StreamFormat,
     build_series,
     parse_detections,
-    render_detections,
     select_per_frame,
     to_observation,
 )

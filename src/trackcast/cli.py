@@ -184,7 +184,7 @@ def cmd_predict(args) -> int:
 def cmd_compare(args) -> int:
     xs, ys = _load_series(args)
     kinds = ([ModelKind.parse(token) for token in args.models.split(",")]
-             if args.models else list(evaluation.DEFAULT_KINDS))
+             if args.models is not None else list(evaluation.DEFAULT_KINDS))
     config = WindowConfig(length=args.window, horizon=args.horizon)
     cutoff = _cutoff(args, xs._ts[-1] - args.horizon)
     reports = evaluation.compare(xs, ys, kinds, cutoff, config, args.clamp_nonpositive)

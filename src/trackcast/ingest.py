@@ -383,41 +383,13 @@ def parse_detections(data: str | bytes | io.IOBase, fmt: StreamFormat) -> list[D
 
     No deduplication or reordering happens here. Raises ParseError for
     malformed lines and ValidationError for records violating invariants,
-    both naming the offending line.
+    both naming the offending line. A ``fmt`` that is not a StreamFormat,
+    such as the string ``"jsonl"``, raises ValidationError.
     """
+    if type(fmt) is not StreamFormat:
+        raise ValidationError(f"fmt must be a StreamFormat, got {fmt!r}")
     text = read_text(data)
-    if fmt is StreamFormat.JSONL:
-        return _parse_jsonl(text)
-    return _parse_csv(text)
-
-
-class _Rows(list):
-    """A file for ``csv.writer`` that keeps each row it writes as one string."""
-
-    write = list.append
-
-
-def render_detections(records: Iterable[DetectionRecord], fmt: StreamFormat) -> str:
-    """Serialize records back to a stream. Reparsing it yields equal records
-    when every field is one the parser accepts: an int frame, finite numbers
-    and a str label. ``DetectionRecord`` checks only ranges, so a NaN or
-    infinite number or a bool frame renders to a stream the parser rejects,
-    and a non-str label reads back from CSV as a str. On Python 3.10 the
-    ``csv`` module can neither write nor read a label that holds NUL: CSV
-    rendering raises ``csv.Error`` for it."""
-    if fmt is StreamFormat.JSONL:
-        return "".join(json.dumps(dict(zip(CSV_HEADER, r))) + "\n" for r in records)
-    # The writer quotes a field that holds a character of its line terminator;
-    # before 3.13 that is all it checks. With "\r\n" a label holding a lone CR
-    # is quoted too, so the parser does not read the CR as a line end; each
-    # row's "\r\n" is then cut back to "\n".
-    import csv
-
-    rows = _Rows()
-    writer = csv.writer(rows, lineterminator="\r\n")
-    writer.writerow(CSV_HEADER)
-    writer.writerows(records)  # a float is written as its repr()
-    return "".join([row[:-2] + "\n" for row in rows])
+    return _parse_jsonl(text) if fmt is StreamFormat.JSONL else _parse_csv(text)
 
 
 def select_per_frame(records: list[DetectionRecord]) -> list[DetectionRecord]:

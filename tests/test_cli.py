@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import trackcast
-from trackcast import StreamFormat, cli, parse_detections, render_detections
+from trackcast import StreamFormat, cli, parse_detections
+from trackcast.ingest import CSV_HEADER
 from trackcast.cli import main
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -511,12 +512,15 @@ class TestHostileInput:
         assert message in err
 
     # A polyN token whose digits int() cannot read, or whose degree no stream
-    # can fit, is refused before any fit.
+    # can fit, is refused before any fit; so is an empty token, and for
+    # compare an empty list, which names the empty model rather than the
+    # default kinds.
     @pytest.mark.parametrize("token, message", [
+        ("", "unknown model ''"),
         ("poly²", "unknown model 'poly²'"),
         ("poly" + "9" * 5000, "unknown model 'poly" + "9" * 5000 + "'"),
         ("poly" + "9" * 4300, "polynomial degree must be <= 9007199254740992"),
-    ], ids=["superscript", "over_int_digit_limit", "degree_beyond_any_stream"])
+    ], ids=["empty", "superscript", "over_int_digit_limit", "degree_beyond_any_stream"])
     @pytest.mark.parametrize("command", [
         ["fit", "--axis", "x", "--model"],
         ["predict", "--model"],
@@ -598,6 +602,15 @@ def in_process(*argv):
         return exc.code
 
 
+def write_csv_copy(jsonl: Path, csv: Path) -> Path:
+    """Write the records of a simulated JSONL stream to ``csv`` as a CSV
+    stream and return its path. Simulated labels need no quoting."""
+    records = parse_detections(jsonl.read_text(), StreamFormat.JSONL)
+    csv.write_text("".join([",".join(CSV_HEADER) + "\n"]
+                           + [",".join(map(str, r)) + "\n" for r in records]))
+    return csv
+
+
 class TestParserReuse:
     """``main`` builds its parser once per process; every later call must
     behave as a fresh ``python -m trackcast`` does."""
@@ -607,8 +620,7 @@ class TestParserReuse:
         monkeypatch.setenv("COLUMNS", "80")  # usage and help wrap at the same width
         jsonl, csv = tmp_path / "stream.jsonl", tmp_path / "stream.csv"
         main(["simulate", "--spec", str(growth_spec), "--out", str(jsonl)])
-        records = parse_detections(jsonl.read_text(), StreamFormat.JSONL)
-        csv.write_text(render_detections(records, StreamFormat.CSV))
+        write_csv_copy(jsonl, csv)
         hostile = tmp_path / "hostile.jsonl"
         hostile.write_bytes(TestHostileInput.HUGE_LEFT)
         j, c, cut = str(jsonl), str(csv), ["--cutoff", "30"]
@@ -751,9 +763,7 @@ def test_kept_records_are_freed_before_the_series_are_built(growth_spec, tmp_pat
     stream = tmp_path / "stream.jsonl"
     assert main(["simulate", "--spec", str(growth_spec), "--out", str(stream)]) == 0
     if fmt == "csv":
-        records = parse_detections(stream.read_text(), StreamFormat.JSONL)
-        stream = tmp_path / "stream.csv"
-        stream.write_text(render_detections(records, StreamFormat.CSV))
+        stream = write_csv_copy(stream, tmp_path / "stream.csv")
     expected = (main(["fit", "--input", str(stream), "--format", fmt, "--axis", "x"]),
                 capsys.readouterr())
 

@@ -31,7 +31,6 @@ from trackcast import (
     build_series,
     fit_model,
     parse_detections,
-    render_detections,
     select_per_frame,
     synthesize,
     to_observation,
@@ -263,98 +262,101 @@ def random_records(rng, n):
     return records
 
 
-@pytest.mark.parametrize("fmt", [StreamFormat.JSONL, StreamFormat.CSV])
-def test_round_trip_is_field_exact(fmt):
-    rng = random.Random(1234)
-    records = random_records(rng, 50)
-    text = render_detections(records, fmt)
-    assert parse_detections(text, fmt) == records
-    # and a second pass through the serializer is stable
-    assert render_detections(parse_detections(text, fmt), fmt) == text
-
-
-# Records the renderer writes as they are, values the parser would refuse
-# included, with the exact text of each format.
-PINNED_RECORDS = [
-    DetectionRecord(0, -0.0, 1e-300, 0.1, 2.5, 0.0, "with,comma"),
-    DetectionRecord(1, 7, math.nan, 1.0, math.inf, 1.0, 'with"quote'),
-    DetectionRecord(True, -math.inf, math.inf, 3.0, 4.0, 0.5, "line\nfeed"),
+# Records whose numbers need every digit of their repr() and whose CSV labels
+# must be quoted, with a stream of each format that holds them.
+EXACT_RECORDS = [
+    DetectionRecord(0, -12.345678901234567, 1e-300, 0.1, 49.99999999999999, 0.0, "with,comma"),
+    DetectionRecord(7, 987.6543210987654, -0.0, 2.5, 0.30000000000000004, 1.0, 'with"quote'),
+    DetectionRecord(500, 5e-324, 123456789.12345679, 1e-05, 7.0, 0.9, "line\nfeed"),
     DetectionRecord(3, 1.0, 2.0, 3.0, 4.0, 0.25, "crlf\r\nend"),
-    DetectionRecord(4, 1.0, 2.0, 3.0, 4.0, 1, ""),
-    DetectionRecord(5, 1.0, 2.0, 3.0, 4.0, 0.5, 5),
+    DetectionRecord(3, 1.0, 2.0, 3.0, 4.0, 0.5, ""),
 ]
-PINNED_TEXT = {
+EXACT_TEXT = {
     StreamFormat.JSONL: (
-        '{"frame": 0, "left": -0.0, "top": 1e-300, "width": 0.1, "height": 2.5, '
-        '"confidence": 0.0, "label": "with,comma"}\n'
-        '{"frame": 1, "left": 7, "top": NaN, "width": 1.0, "height": Infinity, '
-        '"confidence": 1.0, "label": "with\\"quote"}\n'
-        '{"frame": true, "left": -Infinity, "top": Infinity, "width": 3.0, "height": 4.0, '
-        '"confidence": 0.5, "label": "line\\nfeed"}\n'
+        '{"frame": 0, "left": -12.345678901234567, "top": 1e-300, "width": 0.1, '
+        '"height": 49.99999999999999, "confidence": 0.0, "label": "with,comma"}\n'
+        '{"frame": 7, "left": 987.6543210987654, "top": -0.0, "width": 2.5, '
+        '"height": 0.30000000000000004, "confidence": 1.0, "label": "with\\"quote"}\n'
+        '{"frame": 500, "left": 5e-324, "top": 123456789.12345679, "width": 1e-05, '
+        '"height": 7.0, "confidence": 0.9, "label": "line\\nfeed"}\n'
         '{"frame": 3, "left": 1.0, "top": 2.0, "width": 3.0, "height": 4.0, '
         '"confidence": 0.25, "label": "crlf\\r\\nend"}\n'
-        '{"frame": 4, "left": 1.0, "top": 2.0, "width": 3.0, "height": 4.0, '
-        '"confidence": 1, "label": ""}\n'
-        '{"frame": 5, "left": 1.0, "top": 2.0, "width": 3.0, "height": 4.0, '
-        '"confidence": 0.5, "label": 5}\n'
+        '{"frame": 3, "left": 1.0, "top": 2.0, "width": 3.0, "height": 4.0, '
+        '"confidence": 0.5, "label": ""}\n'
     ),
     StreamFormat.CSV: (
         "frame,left,top,width,height,confidence,label\n"
-        '0,-0.0,1e-300,0.1,2.5,0.0,"with,comma"\n'
-        '1,7,nan,1.0,inf,1.0,"with""quote"\n'
-        'True,-inf,inf,3.0,4.0,0.5,"line\nfeed"\n'
+        '0,-12.345678901234567,1e-300,0.1,49.99999999999999,0.0,"with,comma"\n'
+        '7,987.6543210987654,-0.0,2.5,0.30000000000000004,1.0,"with""quote"\n'
+        '500,5e-324,123456789.12345679,1e-05,7.0,0.9,"line\nfeed"\n'
         '3,1.0,2.0,3.0,4.0,0.25,"crlf\r\nend"\n'
-        "4,1.0,2.0,3.0,4.0,1,\n"
-        "5,1.0,2.0,3.0,4.0,0.5,5\n"
+        "3,1.0,2.0,3.0,4.0,0.5,\n"
     ),
 }
 
 
 @pytest.mark.parametrize("fmt", [StreamFormat.JSONL, StreamFormat.CSV])
-def test_render_writes_pinned_text(fmt):
-    assert render_detections(PINNED_RECORDS, fmt) == PINNED_TEXT[fmt]
-    assert render_detections([], fmt) == ("" if fmt is StreamFormat.JSONL
-                                          else "frame,left,top,width,height,confidence,label\n")
+def test_round_trip_is_field_exact(fmt):
+    parsed = parse_detections(EXACT_TEXT[fmt], fmt)
+    assert parsed == EXACT_RECORDS
+    assert list(map(repr, parsed)) == list(map(repr, EXACT_RECORDS))  # -0.0 stays -0.0
 
 
 @pytest.mark.parametrize("label", ["a\rb", "\r", "end\r", "\r\r\n", "a\r\nb\rc"])
 def test_round_trip_of_a_label_with_a_lone_cr(label):
     # The parser ends a line at a lone CR, so the label must be written quoted.
     record = DetectionRecord(2, 1.0, 2.0, 3.0, 4.0, 0.5, label)
-    text = render_detections([record], StreamFormat.CSV)
-    assert text == f'frame,left,top,width,height,confidence,label\n2,1.0,2.0,3.0,4.0,0.5,"{label}"\n'
+    text = f'frame,left,top,width,height,confidence,label\n2,1.0,2.0,3.0,4.0,0.5,"{label}"\n'
     assert parse_detections(text, StreamFormat.CSV) == [record]
 
 
-# Fields that DetectionRecord accepts, since it checks only ranges, but that
-# the parser refuses, with the error each rendered stream then gives.
+# One-record streams whose values DetectionRecord accepts, since it checks
+# only ranges, but the parser refuses: a field, the text of its value in
+# JSONL and in CSV, and the error the parser gives.
 UNPARSABLE_FIELDS = {
-    "nan_left": ({"left": math.nan}, "value for 'left' must be finite"),
-    "inf_left": ({"left": math.inf}, "value for 'left' must be finite"),
-    "minus_inf_left": ({"left": -math.inf}, "value for 'left' must be finite"),
-    "inf_width": ({"width": math.inf}, "value for 'width' must be finite"),
-    "bool_frame": ({"frame_index": True}, "value for 'frame' must be an integer"),
+    "nan_left": ("left", "NaN", "nan", "value for 'left' must be finite"),
+    "inf_left": ("left", "Infinity", "inf", "value for 'left' must be finite"),
+    "minus_inf_left": ("left", "-Infinity", "-inf", "value for 'left' must be finite"),
+    "inf_width": ("width", "Infinity", "inf", "value for 'width' must be finite"),
+    "bool_frame": ("frame", "true", "True", "value for 'frame' must be an integer"),
+}
+UNPARSABLE_TEMPLATE = {
+    StreamFormat.JSONL: '{{"frame": {frame}, "left": {left}, "top": 2.0, "width": {width}, '
+                        '"height": 4.0, "confidence": 0.5, "label": "tip"}}\n',
+    StreamFormat.CSV: "frame,left,top,width,height,confidence,label\n"
+                      "{frame},{left},2.0,{width},4.0,0.5,tip\n",
 }
 
 
 @pytest.mark.parametrize("fmt", [StreamFormat.JSONL, StreamFormat.CSV])
-@pytest.mark.parametrize("fields, message", UNPARSABLE_FIELDS.values(),
+@pytest.mark.parametrize("field, jsonl, csv, message", UNPARSABLE_FIELDS.values(),
                          ids=UNPARSABLE_FIELDS.keys())
-def test_round_trip_refuses_what_the_parser_refuses(fmt, fields, message):
-    record = DetectionRecord(2, 1.0, 2.0, 3.0, 4.0, 0.5, "tip")._replace(**fields)
+def test_round_trip_refuses_what_the_parser_refuses(fmt, field, jsonl, csv, message):
+    values = {"frame": "2", "left": "1.0", "width": "3.0",
+              field: jsonl if fmt is StreamFormat.JSONL else csv}
     line_no = 1 if fmt is StreamFormat.JSONL else 2
-    assert outcome(parse_detections, render_detections([record], fmt), fmt) == (
+    assert outcome(parse_detections, UNPARSABLE_TEMPLATE[fmt].format(**values), fmt) == (
         ParseError, f"line {line_no}: {message}")
 
 
 def test_round_trip_of_an_int_label():
     record = DetectionRecord(2, 1.0, 2.0, 3.0, 4.0, 0.5, 5)
-    jsonl = render_detections([record], StreamFormat.JSONL)
+    jsonl = ('{"frame": 2, "left": 1.0, "top": 2.0, "width": 3.0, "height": 4.0, '
+             '"confidence": 0.5, "label": 5}\n')
     assert outcome(parse_detections, jsonl, StreamFormat.JSONL) == (
         ParseError, "line 1: value for 'label' must be a string")
     # CSV has no types: the label comes back as a str, and nothing reports it.
-    (back,) = parse_detections(render_detections([record], StreamFormat.CSV), StreamFormat.CSV)
+    csv = "frame,left,top,width,height,confidence,label\n2,1.0,2.0,3.0,4.0,0.5,5\n"
+    (back,) = parse_detections(csv, StreamFormat.CSV)
     assert back == record._replace(label="5") and back != record
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "xml", None])
+def test_format_must_be_a_stream_format(fmt):
+    # Any fmt but a StreamFormat member is refused by name, not parsed as CSV.
+    text = "frame,left,top,width,height,confidence,label\n2,1.0,2.0,3.0,4.0,0.5,tip\n"
+    assert outcome(parse_detections, text, fmt) == (
+        ValidationError, f"fmt must be a StreamFormat, got {fmt!r}")
 
 
 class TestSelectPerFrame:
@@ -437,7 +439,8 @@ class TestRecordInvariants:
     def test_frame_limit_is_exact_float(self, fmt):
         ok = DetectionRecord(2**53, 0, 0, 1, 1)
         assert to_observation(ok)[0] == 2**53
-        too_big = render_detections([ok], fmt).replace(str(2**53), str(2**53 + 1))
+        assert parse_detections(stream_with(fmt, frame=2**53), fmt)[0].frame_index == 2**53
+        too_big = stream_with(fmt, frame=2**53 + 1)
         with pytest.raises(ValidationError) as err:
             parse_detections(too_big, fmt)
         line = 2 if fmt is StreamFormat.CSV else 1  # a CSV stream starts with its header
@@ -1075,7 +1078,11 @@ def test_parse_holds_little_beside_the_text_and_records(fmt):
                                rng.uniform(1, 20), rng.random(),
                                "rebar_endpoint" if i % 7 else "decoy")
                for i in range(20_000)]
-    text = render_detections(records, fmt)
+    if fmt is StreamFormat.JSONL:
+        text = "".join([json.dumps(dict(zip(CSV_HEADER, r))) + "\n" for r in records])
+    else:  # no label needs quoting
+        text = "".join([",".join(CSV_HEADER) + "\n"] + [",".join(map(str, r)) + "\n"
+                                                          for r in records])
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

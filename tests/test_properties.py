@@ -16,20 +16,23 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trackcast import (
-    DetectionRecord,
     StreamFormat,
     TrackcastError,
     parse_detections,
     parse_synthetic_spec,
-    render_detections,
 )
 from trackcast.cli import main
 
 SETTINGS = settings(max_examples=25, deadline=None, database=None, derandomize=True)
 
-RECORDS = [DetectionRecord(t, 10.0 + 1.5 * t, 20.0 + 0.5 * t, 4.0, 4.0, 0.9, "tip")
-           for t in range(20)]
-STREAMS = {fmt: render_detections(RECORDS, fmt).encode() for fmt in StreamFormat}
+# Twenty frames of one box moving at a steady speed, in each format.
+STREAMS = {
+    StreamFormat.JSONL: "".join(
+        f'{{"frame": {t}, "left": {10.0 + 1.5 * t}, "top": {20.0 + 0.5 * t}, "width": 4.0, '
+        f'"height": 4.0, "confidence": 0.9, "label": "tip"}}\n' for t in range(20)).encode(),
+    StreamFormat.CSV: ("frame,left,top,width,height,confidence,label\n" + "".join(
+        f"{t},{10.0 + 1.5 * t},{20.0 + 0.5 * t},4.0,4.0,0.9,tip\n" for t in range(20))).encode(),
+}
 SPEC = (b"# sin variant, noise and shake\n"
         b"a_x = 0.01\nb_x = 2.0\na_y = 0.005\nb_y = 3.0\n"
         b"variant = sin_exponential\nnoise_sigma = 0.02\nshake_prob = 0.1\n"
