@@ -18,6 +18,7 @@ import argparse
 import functools
 import math
 import sys
+from collections.abc import Iterable
 
 from . import evaluation, svgplot
 from .errors import InsufficientDataError, TrackcastError, ValidationError
@@ -90,12 +91,13 @@ def _read(path: str) -> str:
         return read_text(handle)
 
 
-def _write(path: str, content: str) -> None:
+def _write(path: str, pieces: Iterable[str]) -> None:
+    """Write ``pieces`` in turn, each as it is drawn, to the file or stdout."""
     if path == "-":
-        sys.stdout.write(content)
+        sys.stdout.writelines(pieces)
         return
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(content)
+        handle.writelines(pieces)
 
 
 def _load_series(args) -> tuple[AxisSeries, AxisSeries]:
@@ -128,17 +130,14 @@ def cmd_simulate(args) -> int:
     spec = evaluation.parse_synthetic_spec(_read(args.spec))
     if args.seed is not None:
         spec = spec._replace(seed=args.seed)
-    xs, ys = evaluation.synthesize(spec)
+    xs, ys = evaluation.synthesize(spec)  # in full, so a failing spec writes nothing
     half = SIMULATED_BOX_SIZE / 2.0
     size = fixed6(SIMULATED_BOX_SIZE)
-    lines = []
-    for t, x, y in zip(xs._ts, xs._vs, ys._vs):
-        lines.append(
-            f'{{"frame": {int(t)}, "left": {fixed6(x - half)}, "top": {fixed6(y - half)}, '
-            f'"width": {size}, "height": {size}, '
-            f'"confidence": 1.000000, "label": "{SIMULATED_LABEL}"}}'
-        )
-    _write(args.out, "".join(line + "\n" for line in lines))
+    _write(args.out, (
+        f'{{"frame": {int(t)}, "left": {fixed6(x - half)}, "top": {fixed6(y - half)}, '
+        f'"width": {size}, "height": {size}, '
+        f'"confidence": 1.000000, "label": "{SIMULATED_LABEL}"}}\n'
+        for t, x, y in zip(xs._ts, xs._vs, ys._vs)))
     return 0
 
 
@@ -188,10 +187,8 @@ def cmd_compare(args) -> int:
     config = WindowConfig(length=args.window, horizon=args.horizon)
     cutoff = _cutoff(args, xs._ts[-1] - args.horizon)
     reports = evaluation.compare(xs, ys, kinds, cutoff, config, args.clamp_nonpositive)
-    if args.table == "text":
-        _write(args.out, evaluation.comparison_text(reports))
-    else:
-        _write(args.out, evaluation.comparison_csv(reports))
+    render = evaluation.comparison_text if args.table == "text" else evaluation.comparison_csv
+    _write(args.out, (render(reports),))
     return 0
 
 
@@ -221,7 +218,7 @@ def cmd_plot(args) -> int:
             title=series.axis.value, ts=windowed._ts, values=windowed._vs,
             curve_ts=tuple(curve_ts), curve_values=curve_values,
             prediction=(t_target, curve_values[-1])))
-    _write(args.out, svgplot.render_prediction_svg(panels[0], panels[1]))
+    _write(args.out, (svgplot.render_prediction_svg(panels[0], panels[1]),))
     return 0
 
 

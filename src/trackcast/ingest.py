@@ -69,6 +69,13 @@ class DetectionRecord(CheckedTuple, namedtuple(
 
     def __new__(cls, frame_index: int, left: float, top: float, width: float,
                 height: float, confidence: float = 1.0, label: str = "") -> "DetectionRecord":
+        if type(frame_index) is not int:  # bool included
+            raise ValidationError(f"frame_index must be an integer, got {frame_index!r}")
+        for name, value in zip(cls._fields[1:6], (left, top, width, height, confidence)):
+            if type(value) is not float and type(value) is not int:  # bool is not a number here
+                raise ValidationError(f"{name} must be a number, got {value!r}")
+        if not isinstance(label, str):
+            raise ValidationError(f"label must be a string, got {label!r}")
         if not 0 <= frame_index <= MAX_FRAME:
             bad = "frame"
         elif not width > 0:

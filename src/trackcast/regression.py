@@ -77,6 +77,10 @@ class ModelKind(CheckedTuple, namedtuple("ModelKind", "family degree")):
     __slots__ = ()
 
     def __new__(cls, family: ModelFamily, degree: int = 0) -> "ModelKind":
+        if type(family) is not ModelFamily:
+            raise ValidationError(f"family must be a ModelFamily, got {family!r}")
+        if type(degree) is not int:  # bool included
+            raise ValidationError(f"degree must be an integer, got {degree!r}")
         if family is ModelFamily.POLYNOMIAL:
             if degree < 1:
                 raise ValidationError("polynomial degree must be >= 1")

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import trackcast
-from trackcast import StreamFormat, cli, parse_detections
+from trackcast import StreamFormat, cli, evaluation, parse_detections
 from trackcast.ingest import CSV_HEADER
 from trackcast.cli import main
 
@@ -89,6 +90,32 @@ class TestSimulate:
         code = main(["simulate", "--spec", str(growth_spec), "--seed", seed])
         out, err = capsys.readouterr()
         assert (code, out, err) == (2, "", "error: seed must be an unsigned 64-bit integer\n")
+
+    def test_writes_lines_as_it_formats_them(self, tmp_path):
+        # Past what generation itself holds at its peak, simulate holds about
+        # one line at a time: no list of lines, no joined copy of the text.
+        spec = tmp_path / "long.spec"
+        spec.write_text("a_x = 0.0001\nb_x = 2\na_y = 0.0001\nb_y = 3\nn_frames = 20000\n"
+                        "noise_sigma = 0.5\nseed = 3\n")
+        out = tmp_path / "stream.jsonl"
+        cli._parser()  # built and kept before either peak is read
+
+        def traced_peak(call):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                call()
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        generated = traced_peak(
+            lambda: evaluation.synthesize(evaluation.parse_synthetic_spec(spec.read_text())))
+        written = traced_peak(
+            lambda: main(["simulate", "--spec", str(spec), "--out", str(out)]))
+        size = out.stat().st_size
+        assert len(out.read_text().splitlines()) == 20_000
+        assert written - generated < size / 10, (written, generated, size)
 
 
 class TestFit:
