@@ -75,13 +75,15 @@ def _window_arg(text: str) -> int | None:
 
 
 def _region_arg(text: str) -> tuple[float, float, float, float]:
+    """x0,y0,x1,y1 in Region's field order: x0, x1, y0, y1."""
     parts = text.split(",")
     if len(parts) != 4:
         raise argparse.ArgumentTypeError("region must be x0,y0,x1,y1")
     try:
-        return tuple(float(p) for p in parts)  # type: ignore[return-value]
+        x0, y0, x1, y1 = map(float, parts)
     except ValueError:
         raise argparse.ArgumentTypeError("region coordinates must be numbers")
+    return x0, x1, y0, y1
 
 
 def _read(path: str) -> str:
@@ -167,10 +169,7 @@ def cmd_predict(args) -> int:
     xs, ys = _load_series(args)
     config = WindowConfig(length=args.window, horizon=args.horizon)
     cutoff = _cutoff(args, xs._ts[-1])
-    region = None
-    if args.region is not None:
-        x0, y0, x1, y1 = args.region
-        region = Region(x_min=x0, x_max=x1, y_min=y0, y_max=y1)
+    region = None if args.region is None else Region(*args.region)
     point = predict_endpoint(xs, ys, ModelKind.parse(args.model), config, cutoff, region,
                              args.clamp_nonpositive)
     verdict = "true" if point.defect else "false"
@@ -207,17 +206,15 @@ def cmd_plot(args) -> int:
         first, last = math.ceil(windowed._ts[0]), math.floor(t_target)
         stride = max(1, -(-(last - first + 1) // MAX_CURVE_FRAMES))
         curve_ts = [float(t) for t in range(first, last + 1, stride)]
-        if not curve_ts or curve_ts[-1] != t_target:
+        if not curve_ts or curve_ts[-1] != t_target:  # the curve ends at the prediction
             curve_ts.append(t_target)
         try:
             curve_values = tuple([predict(fit, t) for t in curve_ts])
         except TrackcastError as exc:  # named as predict_endpoint names it
             raise type(exc)(f"{series.axis.value} axis: {exc}") from exc
-        # The curve ends at the target, so its last value is the prediction.
         panels.append(svgplot.Panel(
             title=series.axis.value, ts=windowed._ts, values=windowed._vs,
-            curve_ts=tuple(curve_ts), curve_values=curve_values,
-            prediction=(t_target, curve_values[-1])))
+            curve_ts=tuple(curve_ts), curve_values=curve_values))
     _write(args.out, (svgplot.render_prediction_svg(panels[0], panels[1]),))
     return 0
 
@@ -228,8 +225,11 @@ def cmd_plot(args) -> int:
 _FORMATTER = functools.partial(argparse.HelpFormatter, width=78)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """A new parser for the trackcast command line on every call."""
+    """The parser for the trackcast command line, built on the first call and
+    kept: building one takes longer than a call's own work, and a parse keeps
+    no state on the parser."""
     parser = argparse.ArgumentParser(
         prog="trackcast",
         description="Fit tracked-endpoint trajectories and predict positions "
@@ -246,28 +246,23 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", default="-", help="output path, '-' for stdout")
 
     fit = add_parser("fit", help="fit one axis and print the parameters")
-    _add_series_options(fit)
-    fit.add_argument("--axis", choices=["x", "y"], required=True)
-
     pred = add_parser("predict", help="predict the endpoint position ahead")
-    _add_series_options(pred)
-    pred.add_argument("--horizon", type=int, default=DEFAULT_HORIZON,
-                      help="frames ahead of the cutoff")
+    comp = add_parser("compare", help="score several models against ground truth")
+    plot = add_parser("plot", help="emit a two-panel SVG of fit and prediction")
+    for sub in (fit, pred, comp, plot):
+        _add_series_options(sub)
+    for sub in (pred, comp, plot):
+        sub.add_argument("--horizon", type=int, default=DEFAULT_HORIZON,
+                         help="frames ahead of the cutoff")
+
+    fit.add_argument("--axis", choices=["x", "y"], required=True)
     pred.add_argument("--region", type=_region_arg, default=None,
                       help="defect gate rectangle x0,y0,x1,y1")
-
-    comp = add_parser("compare", help="score several models against ground truth")
-    _add_series_options(comp)
-    comp.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
     comp.add_argument("--models", default=None,
                       help="comma-separated model list (default: sinexp,cosexp,exp,poly)")
     comp.add_argument("--table", choices=["csv", "text"], default="csv",
                       help="output rendering")
     comp.add_argument("--out", default="-", help="output path, '-' for stdout")
-
-    plot = add_parser("plot", help="emit a two-panel SVG of fit and prediction")
-    _add_series_options(plot)
-    plot.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
     plot.add_argument("--out", required=True, help="SVG output path")
     # compare scores a list of models; with no --model of its own, argparse's
     # prefix matching reads `compare --model X` as `--models X`.
@@ -278,15 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built on its first call. Building one takes
-    longer than a call's own work; a parse keeps no state on the parser."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
+    args = build_parser().parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
     # Looked up per call, so a cmd_* replaced after the parser was built runs.
     command = globals()[f"cmd_{args.command}"]
     try:

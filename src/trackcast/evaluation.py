@@ -118,9 +118,12 @@ def error_rate(predicted: float, actual: float) -> float:
 
 
 def _value_at(series: AxisSeries, t: float) -> float:
+    """The truth at ``t``, refused when missing or 0, which no error rate can divide by."""
     ts = series._ts
     i = bisect_left(ts, t)
     if i < len(ts) and ts[i] == t:
+        if series._vs[i] == 0.0:
+            raise UndefinedReferenceError("error rate is undefined for actual = 0")
         return series._vs[i]
     raise MissingTruthError(
         f"no ground-truth sample at t={t!r} on the {series.axis.value} series"
@@ -145,8 +148,9 @@ def evaluate(
 ) -> ErrorReport:
     """Score one model: fit on t <= cutoff, read truth at cutoff + horizon.
 
-    Called alone, it reads its own ``t_target`` and ``actual``; ``compare``
-    reads them once per table and passes them in as ``_truth``.
+    Called alone, it reads its own ``t_target`` and ``actual``, and refuses
+    a missing or zero one before the fit; ``compare`` reads them once per
+    table and passes them in as ``_truth``.
     """
     t_target, actual = _truth or _read_truth(xs, ys, cutoff_t, config)
     try:
@@ -167,8 +171,8 @@ def compare(
 ) -> list[ErrorReport]:
     """One ErrorReport per kind, in the requested order.
 
-    A failing kind yields an unavailable row; a missing ground-truth sample
-    aborts the whole table before any fit. The truth is read once, at the
+    A failing kind yields an unavailable row; a missing or zero ground-truth
+    sample aborts the whole table before any fit. The truth is read once, at the
     first row, so every row shares one ``t_target`` and one ``actual``
     object, and a table with no kinds reads nothing.
     """

@@ -316,7 +316,7 @@ def _log_line(series: AxisSeries, kind: ModelKind, clamp_nonpositive: bool) -> L
 
 @functools.lru_cache(maxsize=1)
 def _factored(ts: tuple[float, ...]) -> dict:
-    """``{degree: what _factor returned}`` for the last t column asked,
+    """``{degree: _factor's weight rows}`` for the last t column asked,
     which ``_t_only`` fills."""
     return {}
 
@@ -324,14 +324,12 @@ def _factored(ts: tuple[float, ...]) -> dict:
 def _t_only(ts: tuple[float, ...], degree: int) -> tuple:
     """``_factor``'s weight rows for a polynomial of ``degree`` on ``ts``,
     through the table ``_factored`` keeps for the column. A refused column
-    raises its message, which the table keeps, so the column is not
-    factored again."""
+    raises ``_factor``'s refusal and leaves no entry, so it is factored
+    again on its next call."""
     table = _factored(ts)
     found = table.get(degree)
     if found is None:
         found = table[degree] = _factor(ts, degree)
-    if found.__class__ is str:
-        raise DegenerateAbscissaError(found)
     return found
 
 
@@ -366,9 +364,9 @@ def _dots(rows, vs, scale: float = 1.0) -> tuple[float, ...] | None:
     return coefficients if all(map(isfinite, coefficients)) else None
 
 
-def _factor(ts: tuple[float, ...], degree: int) -> tuple | str:
+def _factor(ts: tuple[float, ...], degree: int) -> tuple:
     """The t-only half of a polynomial fit: the weight rows ``_fit_polynomial``
-    reads, or, for a t column it refuses, the refusal message.
+    reads. A t column it refuses raises ``DegenerateAbscissaError``.
 
     t is scaled to x = (t - center) / half on [-1, 1], where the three-term
     recurrence p_k+1 = (x - alpha_k) p_k - beta_k p_k-1 from p_0 = 1 gives
@@ -401,7 +399,7 @@ def _factor(ts: tuple[float, ...], degree: int) -> tuple | str:
         squares = list(map(mul, p, p))
         norm = fsum(squares)
         if not norm > 0.0:
-            return "polynomial fit is singular for these t values"
+            raise DegenerateAbscissaError("polynomial fit is singular for these t values")
         columns.append(p)
         weights.append([c / norm for c in e])
         bound = 0.0  # sum of |E_jk| T^j, by Horner's rule
@@ -418,7 +416,7 @@ def _factor(ts: tuple[float, ...], degree: int) -> tuple | str:
             e, e_prev = [scale * lower + (shift - alpha) * c - beta * b
                          for lower, c, b in zip([0.0, *e], e, e_prev)], e
     if not 3 * m * 2.0**-52 * kappa <= POLYNOMIAL_ERROR_BOUND:  # NaN is refused too
-        return "polynomial fit is ill-conditioned for these t values"
+        raise DegenerateAbscissaError("polynomial fit is ill-conditioned for these t values")
     by_sample = list(zip(*columns))  # p_0(x_i) .. p_d(x_i) for each sample i
     return tuple([tuple([fsum(map(mul, row, at)) for at in by_sample]) for row in zip(*weights)])
 

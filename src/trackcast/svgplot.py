@@ -24,8 +24,9 @@ PREDICTION_STYLE = 'class="prediction" r="5" fill="none" stroke="#d62728" stroke
 
 
 # One axis panel: the observed samples and the fitted curve, each as a t
-# column and a value column, and the predicted (t, value) point.
-Panel = namedtuple("Panel", "title ts values curve_ts curve_values prediction")
+# column and a value column. The curve is not empty, and its last point is
+# the prediction, which is drawn as a marker.
+Panel = namedtuple("Panel", "title ts values curve_ts curve_values")
 
 
 def _span(values: list[float]) -> tuple[float, float]:
@@ -42,8 +43,8 @@ def _text(x: int, y: int, size: int, body: str, anchor: str = "") -> str:
 
 
 def _panel_svg(panel: Panel, y_offset: int) -> list[str]:
-    t_lo, t_hi = _span([*panel.ts, *panel.curve_ts, panel.prediction[0]])
-    v_lo, v_hi = _span([*panel.values, *panel.curve_values, panel.prediction[1]])
+    t_lo, t_hi = _span([*panel.ts, *panel.curve_ts])
+    v_lo, v_hi = _span([*panel.values, *panel.curve_values])
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = PANEL_HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
@@ -67,13 +68,12 @@ def _panel_svg(panel: Panel, y_offset: int) -> list[str]:
         _text(MARGIN_LEFT - 4, bottom, 10, fixed6(v_lo), "end"),
         _text(MARGIN_LEFT - 4, top + 10, 10, fixed6(v_hi), "end"),
     ]
-    if panel.curve_ts:
-        points = " ".join(f"{px(t)},{py(v)}" for t, v in zip(panel.curve_ts, panel.curve_values))
-        out.append(f'<polyline {CURVE_STYLE} points="{points}"/>')
+    points = " ".join(f"{px(t)},{py(v)}" for t, v in zip(panel.curve_ts, panel.curve_values))
+    out.append(f'<polyline {CURVE_STYLE} points="{points}"/>')
     for t, v in zip(panel.ts, panel.values):
         out.append(f'<circle {SAMPLE_STYLE} cx="{px(t)}" cy="{py(v)}"/>')
-    pt, pv = panel.prediction
-    out.append(f'<circle {PREDICTION_STYLE} cx="{px(pt)}" cy="{py(pv)}"/>')
+    out.append(f'<circle {PREDICTION_STYLE} cx="{px(panel.curve_ts[-1])}" '
+               f'cy="{py(panel.curve_values[-1])}"/>')
     out.append("</g>")
     return out
 

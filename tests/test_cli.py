@@ -16,6 +16,7 @@ import trackcast
 from trackcast import StreamFormat, cli, evaluation, parse_detections
 from trackcast.ingest import CSV_HEADER
 from trackcast.cli import main
+from trackcast.numfmt import fixed6
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 DATA = Path(__file__).parent / "data"
@@ -98,7 +99,7 @@ class TestSimulate:
         spec.write_text("a_x = 0.0001\nb_x = 2\na_y = 0.0001\nb_y = 3\nn_frames = 20000\n"
                         "noise_sigma = 0.5\nseed = 3\n")
         out = tmp_path / "stream.jsonl"
-        cli._parser()  # built and kept before either peak is read
+        cli.build_parser()  # built and kept before either peak is read
 
         def traced_peak(call):
             tracemalloc.start()
@@ -319,6 +320,18 @@ class TestCompare:
         code, _, err = run_cli("compare", "--input", str(stream), "--cutoff", "90")
         assert code == 2
         assert "ground-truth" in err or "truth" in err
+
+    @pytest.mark.parametrize("models", ["poly9", "exp", "poly9,exp"])
+    def test_zero_truth_exits_2_before_any_fit(self, tmp_path, capsys, models):
+        # The x center is 0 at frame 10, the target: the table stops before any
+        # fit, as on a missing truth, whether or not some row would fit (poly9
+        # on six frames fits none).
+        stream = tmp_path / "zero.jsonl"
+        stream.write_text(jsonl_stream(lambda t: 10.0 - t, lambda t: 20.0 + t, 11))
+        code = main(["compare", "--input", str(stream), "--cutoff", "5", "--horizon", "5",
+                     "--models", models])
+        assert (code, *capsys.readouterr()) == (
+            2, "", "error: error rate is undefined for actual = 0\n")
 
     def test_model_reads_as_models(self, growth_spec, tmp_path, capsys):
         # compare has no --model; argparse takes it for the --models prefix.
@@ -682,6 +695,7 @@ class TestParserReuse:
         assert codes == [0, 0, 0, 3, 0, 0, 0, 2, 0, 2]
 
     def test_main_builds_one_parser(self, monkeypatch, capsys):
+        # main parses through build_parser on every call, and it builds once.
         built = []
         build = cli.build_parser
 
@@ -690,19 +704,18 @@ class TestParserReuse:
             return built[-1]
 
         monkeypatch.setattr(cli, "build_parser", counting_build)
-        cli._parser.cache_clear()
+        build.cache_clear()
         try:
             for _ in range(3):
                 assert in_process("fit", "--axis", "z") == 2
+            assert build.cache_info().misses == 1
         finally:
-            cli._parser.cache_clear()
-        assert len(built) == 1
-        first, second = build(), build()
-        assert first is not second
-        assert first.format_help() == second.format_help()
+            build.cache_clear()
+        assert len(built) == 3 and built[0] is built[1] is built[2]
+        assert build() is build()
 
     def test_replaced_command_runs(self, monkeypatch):
-        cli._parser()
+        cli.build_parser()
         monkeypatch.setattr(cli, "cmd_fit", lambda args: 7 if args.axis == "y" else 0)
         assert main(["fit", "--axis", "y"]) == 7
 
@@ -719,7 +732,7 @@ def test_start_up_imports_no_thread_pool():
     src = Path(trackcast.__file__).resolve().parent.parent
     heavy = ["dataclasses", "typing", "inspect", "concurrent.futures", "csv", "random",
              "shutil", "bz2", "lzma", "fnmatch"]
-    parse = ("import trackcast.cli as c, contextlib, io; p = c._parser(); p.format_help()\n"
+    parse = ("import trackcast.cli as c, contextlib, io; p = c.build_parser(); p.format_help()\n"
              "with contextlib.redirect_stderr(io.StringIO()), "
              "contextlib.suppress(SystemExit): p.parse_args(['fit', '--axis', 'z'])")
     for code in ("import trackcast", "import trackcast.cli", parse):
@@ -754,6 +767,23 @@ def test_help_text_is_pinned(run_cli, monkeypatch):
         assert (code, err) == (0, "")
         text.append(f"$ {' '.join(['trackcast', *command, '--help'])}\n{out}")
     assert "".join(text) == (Path(__file__).parent / "data" / "help.txt").read_text()
+
+
+def test_readme_library_use_runs(growth_spec, tmp_path, capsys, monkeypatch):
+    # README's "Library use" block, run as written on a simulated stream,
+    # prints the point that `predict` prints for the same call.
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Library use\n\n```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--spec", str(growth_spec), "--out", "stream.jsonl"]) == 0
+    exec(compile(block, "README.md", "exec"), {})
+    t_target, x, y, defect = capsys.readouterr().out.split()
+    assert defect in ("True", "False")
+    code = main(["predict", "--input", "stream.jsonl", "--model", "exp", "--cutoff", "30",
+                 "--horizon", "60", "--region", "0,0,640,480"])
+    assert code == (3 if defect == "True" else 0)
+    assert capsys.readouterr().out == (
+        ",".join(fixed6(float(v)) for v in (t_target, x, y)) + f",{defect.lower()}\n")
 
 
 def test_commands_build_no_pairs(growth_spec, tmp_path, capsys, monkeypatch):

@@ -111,6 +111,16 @@ class TestEvaluate:
         assert "x axis" in report.failure
         assert report.actual == (5.0, 71.0)
 
+    def test_zero_truth_is_refused_before_the_fit(self):
+        # The exp fit on this x series fails, but a 0 truth is refused first,
+        # as a missing one is.
+        values = [(t, {3: -1.0, 70: 0.0}.get(t, 5.0)) for t in range(71)]
+        xs = AxisSeries(Axis.X, tuple((float(t), float(v)) for t, v in values))
+        ys = series(Axis.Y, lambda t: t + 1.0, range(71))
+        with pytest.raises(UndefinedReferenceError,
+                           match="^error rate is undefined for actual = 0$"):
+            evaluate(xs, ys, EXPONENTIAL, 10.0, WindowConfig(horizon=60))
+
     def test_non_finite_value_reports_unavailable(self):
         xs = AxisSeries(Axis.X, tuple((float(t), math.nan if t == 3 else 5.0) for t in range(71)))
         ys = series(Axis.Y, lambda t: t + 1.0, range(71))

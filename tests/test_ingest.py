@@ -531,7 +531,7 @@ CHECKED_VALUES = (ModelKind(ModelFamily.POLYNOMIAL, 2), Region(0.0, 1.0, 0.0, 1.
 VALUES = (*CHECKED_VALUES, LinearFit(1.0, 2.0), FitResult(LINEAR, 1.0, 2.0, (), 3),
           PredictedEndpoint(60.0, 1.0, 2.0, False),
           ErrorReport(LINEAR, 1.0, 2.0, 60.0, (1.0, 2.0), (1.0, 2.0)),
-          Panel("x", (0.0,), (1.0,), (), (), (1.0, 2.0)))
+          Panel("x", (0.0,), (1.0,), (1.0,), (2.0,)))
 
 
 class TestValueTypes:

@@ -591,9 +591,11 @@ class TestPolynomialMemo:
         fit_model(held, polynomial(2))
         assert len(calls) == 1
 
-    def test_each_refusal_is_a_new_exception(self):
+    def test_each_refusal_is_a_new_exception(self, monkeypatch):
         # poly12 on 31 frames passes the bound; on 600 frames p_599's values
-        # underflow, so its squared norm is 0.
+        # underflow, so its squared norm is 0. The memo keeps weight rows only:
+        # a refused column leaves no entry and is factored again on each call.
+        calls = self.count_factor_steps(monkeypatch)
         for ts, degree, message in (
                 (range(31), 12, "polynomial fit is ill-conditioned for these t values"),
                 (range(600), 599, "polynomial fit is singular for these t values")):
@@ -605,6 +607,8 @@ class TestPolynomialMemo:
                 raised.append(err.value)
             assert raised[0] is not raised[1]
             assert str(raised[0]) == str(raised[1]) == message
+            assert regression._factored(s._ts) == {}
+        assert [(len(ts), degree) for ts, degree in calls] == [(31, 12)] * 2 + [(600, 599)] * 2
 
 
 class TestModelKindParse:
